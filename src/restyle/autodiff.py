@@ -313,6 +313,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), bwd)
 
 
+def swap_last_axes(a: Tensor) -> Tensor:
+    """Swap the last two axes: (..., M, N) -> (..., N, M); a view of ``a``."""
+    out = np.swapaxes(a.values, -1, -2)
+
+    def bwd(g):
+        if a.requires_grad:
+            a.grad += np.swapaxes(g, -1, -2)
+
+    return _node(out, (a,), bwd)
+
+
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -457,12 +468,14 @@ def unfold(a: Tensor, width: int) -> Tensor:
     if T < width:
         raise ValueError(f"unfold: sequence length {T} shorter than window width {width}")
     P = T - width + 1
-    out = np.stack([a.values[:, p:p + width] for p in range(P)], axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(a.values, width, axis=1)
+    out = np.ascontiguousarray(np.swapaxes(windows, -1, -2))
 
     def bwd(g):
         if a.requires_grad:
-            for p in range(P):
-                a.grad[:, p:p + width] += g[:, p]
+            # descending offsets add each position's windows in ascending p
+            for j in reversed(range(width)):
+                a.grad[:, j:j + P] += g[:, :, j]
 
     return _node(out, (a,), bwd)
 
@@ -471,13 +484,14 @@ def fold(a: Tensor, length: int) -> Tensor:
     """Overlap-add of windows back onto the sequence: (B, P, w, E) -> (B, length, E)."""
     B, P, w, E = a.shape
     out = np.zeros((B, length, E))
-    for p in range(P):
-        out[:, p:p + w] += a.values[:, p]
+    # descending offsets add each position's windows in ascending p
+    for j in reversed(range(w)):
+        out[:, j:j + P] += a.values[:, :, j]
 
     def bwd(g):
         if a.requires_grad:
-            for p in range(P):
-                a.grad[:, p] += g[:, p:p + w]
+            for j in range(w):
+                a.grad[:, :, j] += g[:, j:j + P]
 
     return _node(out, (a,), bwd)
 

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -37,8 +40,26 @@ def file_hash(path) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
+@contextmanager
+def atomic_write(path):
+    """Binary file handle for ``path`` that replaces it only when the block
+    completes: the bytes go to a temp file in the same directory, which is
+    flushed to disk and then renamed over ``path``. A crash mid-write leaves
+    the previous file intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path, params: dict[str, Tensor], header: dict) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         hblob = json.dumps(header, sort_keys=True, separators=(",", ":"), default=str).encode("utf-8")
@@ -57,23 +78,30 @@ def save_checkpoint(path, params: dict[str, Tensor], header: dict) -> None:
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as f:
+        def read(n: int) -> bytes:
+            blob = f.read(n)
+            if len(blob) != n:
+                raise ValueError(f"checkpoint {path}: truncated (wanted {n} bytes at "
+                                 f"offset {f.tell() - len(blob)}, got {len(blob)})")
+            return blob
+
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"checkpoint {path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", read(4))
         if version != VERSION:
             raise ValueError(f"checkpoint {path}: unsupported version {version}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        (count,) = struct.unpack("<I", f.read(4))
+        (hlen,) = struct.unpack("<I", read(4))
+        header = json.loads(read(hlen).decode("utf-8"))
+        (count,) = struct.unpack("<I", read(4))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", f.read(4))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}q", f.read(8 * ndim))
+            (nlen,) = struct.unpack("<I", read(4))
+            name = read(nlen).decode("utf-8")
+            (ndim,) = struct.unpack("<I", read(4))
+            shape = struct.unpack(f"<{ndim}q", read(8 * ndim))
             n = int(np.prod(shape)) if ndim else 1
-            buf = np.frombuffer(f.read(8 * n), dtype="<f8").astype(np.float64)
+            buf = np.frombuffer(read(8 * n), dtype="<f8").astype(np.float64)
             arrays[name] = buf.reshape(shape)
     return header, arrays
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from restyle import autodiff as ad
 from restyle.checkpoint import (
+    atomic_write,
     config_hash,
     file_hash,
     load_checkpoint,
@@ -83,7 +84,8 @@ def update_manifest(run_dir: Path, cfg: ExperimentConfig, updates: dict) -> dict
     for name in manifest["artifacts"]:
         if not (run_dir / name).exists():
             raise CliError(f"manifest references missing artifact {name}")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    with atomic_write(path) as f:
+        f.write(json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
     return manifest
 
 
@@ -214,6 +216,22 @@ def load_seq2seq(path: Path, vocab: Vocabulary, what: str = "model checkpoint"):
                          mlp_dim=header["mlp_dim"], seed=header.get("seed", 0))
     restore_params(model.params, arrays)
     return model, header
+
+
+def run_eta(run_dir: Path):
+    """The eta stage 1 trained with: from manifest.json, else from the
+    stage1.ckpt header; None when the run has neither."""
+    manifest = run_dir / "manifest.json"
+    if manifest.exists():
+        eta = json.loads(manifest.read_text()).get("eta")
+        if eta is not None:
+            return float(eta)
+    ckpt = run_dir / "stage1.ckpt"
+    if ckpt.exists():
+        header, _ = load_checkpoint(ckpt)
+        if header.get("eta") is not None:
+            return float(header["eta"])
+    return None
 
 
 def resolve_eta(cfg: ExperimentConfig, clf, corpus) -> float:
@@ -424,7 +442,8 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
                           else run_dir / "classifier.ckpt", vocab)
     outputs = _maybe_lower(read_sentences(require(Path(args.outputs), "outputs file")), cfg)
     ref_files = [Path(p) for p in args.refs.split(",") if p]
-    ref_columns = [read_sentences(require(p, "reference file")) for p in ref_files]
+    ref_columns = [_maybe_lower(read_sentences(require(p, "reference file")), cfg)
+                   for p in ref_files]
     for col in ref_columns:
         if len(col) != len(outputs):
             raise CliError(f"reference count {len(col)} does not match outputs "
@@ -457,17 +476,20 @@ def cmd_lrp_inspect(args, cfg: ExperimentConfig) -> int:
     sentences = _read_input_sentences(args, cfg)
     if not sentences:
         raise CliError("no input sentences")
-    eta = float(args.eta) if args.eta else resolve_eta(
-        cfg, clf, LabeledCorpus([vocab.encode(s) for s in sentences],
-                                [0] * len(sentences)))
+    encoded = [vocab.encode(s) for s in sentences]
+    if args.target_style == "pred":
+        targets = [int(t) for t in clf.predict(encoded)]
+    else:
+        targets = [int(args.target_style)] * len(sentences)
+    if args.eta:
+        eta = float(args.eta)
+    else:
+        eta = run_eta(run_dir)
+        if eta is None:
+            eta = resolve_eta(cfg, clf, LabeledCorpus(encoded, targets))
     records = []
-    for sentence in sentences:
-        ids = vocab.encode(sentence)
+    for sentence, ids, target in zip(sentences, encoded, targets):
         batch = pack_batch([ids], min_width=max(clf.filter_widths))
-        if args.target_style == "pred":
-            target = int(clf.predict([ids])[0])
-        else:
-            target = int(args.target_style)
         wr = hard_word_relevance(clf, batch.enc_ids, batch.lengths, target,
                                  eta=eta, epsilon=args.epsilon)
         tokens = sentence.split()
@@ -554,7 +576,7 @@ def _load_references(cfg: ExperimentConfig, test: LabeledCorpus) -> list:
         raw = getattr(cfg.data, f"test_refs_style{style}", "")
         if not raw:
             raise CliError(f"data.test_refs_style{style} must list reference files")
-        cols = [read_sentences(require(Path(p), "reference file"))
+        cols = [_maybe_lower(read_sentences(require(Path(p), "reference file")), cfg)
                 for p in raw.split(",") if p]
         refs_by_style[style] = [[c[i] for c in cols] for i in range(len(cols[0]))]
     counters = {0: 0, 1: 0}
@@ -614,7 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", default=None)
     p.add_argument("--target-style", default="pred",
                    help="0, 1, or 'pred' for the classifier's own prediction")
-    p.add_argument("--eta", default=None, help="scaling factor (default: calibrated)")
+    p.add_argument("--eta", default=None,
+                   help="scaling factor (default: the run's stage-1 eta, else calibrated "
+                        "on the input against the explained labels)")
     p.add_argument("--epsilon", type=float, default=0.3)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all losses")

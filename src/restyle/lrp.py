@@ -6,10 +6,14 @@ split across its inputs as z_kk' / sum_k'' z_k''k', where z_kk' is the input
 value times the connecting weight. Nonlinear activations pass relevance
 through unchanged; max-over-time pooling routes it to the winning window.
 
+The rule is evaluated in matrix form, never building the per-edge z_kk'
+tensor: z = a W sums each column, s = r / z scales the output relevance,
+c = s W^T carries it back, and r_in = a * c (Montavon et al. 2019, 10.2).
+
 Denominators are stabilized as sum + sign(sum) * delta with sign(0) = +1, so
 an all-zero column (e.g. padding embeddings) contributes exactly zero
-relevance. With the stabilizer disabled, a vanishing column falls back to a
-uniform split over its inputs and the event is counted.
+relevance. With the stabilizer disabled, a vanishing column's relevance is
+added back split uniformly over its inputs and the event is counted.
 
 Everything is expressed in traced tensor ops, so the soft-word pipeline stays
 differentiable with respect to the generated probability rows.
@@ -51,28 +55,32 @@ class WordRelevance:
 
 def zrule_backward(v_in: Tensor, weights: Tensor, r_out: Tensor,
                    stabilizer: float = 1e-9) -> tuple[Tensor, int]:
-    """One proportional-split step across a linear layer.
+    """One proportional-split step across a linear layer, in four traced steps
+    (Montavon et al. 2019, section 10.2):
+
+        z = v_in @ W,  s = r_out / (z +- stab),  c = s @ W^T,  r_in = v_in * c
 
     v_in: (..., K_in) input neuron values; weights: (K_in, K_out);
     r_out: (..., K_out). Returns ((..., K_in) relevance, fallback count).
+    The result is differentiable in all three inputs. With the stabilizer off,
+    a dead column (z == 0) contributes nothing through s; its relevance is
+    instead added back split uniformly, sum_dead(r_out) / K_in per input.
     """
-    k_in, k_out = weights.shape
-    z = v_in.reshape(*v_in.shape, 1) * weights
-    denom = z.sum(axis=-2, keepdims=True)
+    k_in = weights.shape[0]
+    z = ad.matmul(v_in, weights)
     fallbacks = 0
     if stabilizer > 0.0:
-        shift = np.where(denom.values >= 0.0, stabilizer, -stabilizer)
-        denom = denom + constant(shift)
-        contrib = z / denom
+        shift = np.where(z.values >= 0.0, stabilizer, -stabilizer)
+        s = r_out / (z + constant(shift))
     else:
-        dead = denom.values == 0.0
+        dead = (z.values == 0.0).astype(float)
         fallbacks = int(dead.sum())
-        safe = denom + constant(np.where(dead, 1.0, 0.0))
-        contrib = z / safe
+        s = r_out / (z + constant(dead))
         if fallbacks:
-            dead_f = dead.astype(float)
-            contrib = contrib * constant(1.0 - dead_f) + constant(dead_f / k_in)
-    r_in = (contrib * r_out.reshape(*r_out.shape[:-1], 1, k_out)).sum(axis=-1)
+            s = s * constant(1.0 - dead)
+    r_in = v_in * ad.matmul(s, ad.swap_last_axes(weights))
+    if fallbacks:
+        r_in = r_in + (r_out * constant(dead)).sum(axis=-1, keepdims=True) * (1.0 / k_in)
     return r_in, fallbacks
 
 
@@ -95,9 +103,7 @@ def propagate(clf: TextCnnStyleClassifier, trace: ClassifierTrace,
         r_pool = ad.narrow(r_feats, 1, offset, F)
         offset += F
         route = np.zeros((B, P, F))
-        cols = np.arange(F)
-        for b in range(B):
-            route[b, trace.pool_argmax[w][b], cols] = 1.0
+        np.put_along_axis(route, trace.pool_argmax[w][:, None, :], 1.0, axis=1)
         r_act = r_pool.reshape(B, 1, F) * constant(route)
         # tanh is relevance-transparent; split across the window inputs
         r_win, ev = zrule_backward(trace.windows[w], clf.params_[f"conv{w}.w"],

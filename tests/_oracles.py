@@ -15,7 +15,9 @@ def naive_zrule(v_in, weights, r_out, stabilizer):
             for kpp in range(k_in):
                 denom += v_in[kpp] * weights[kpp, kp]
             denom = denom + (stabilizer if denom >= 0 else -stabilizer)
-            total += z / denom * r_out[kp]
+            # a dead column (possible only with the stabilizer off) splits uniformly
+            share = z / denom if denom != 0.0 else 1.0 / k_in
+            total += share * r_out[kp]
         r_in[k] = total
     return r_in
 

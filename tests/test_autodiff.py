@@ -20,6 +20,7 @@ from restyle.autodiff import (
     parameter,
     sigmoid,
     softmax,
+    swap_last_axes,
     take_along_last,
     tanh,
     tmax,
@@ -173,6 +174,69 @@ class TestIndexingOps:
             return tsum(fold(unfold(x, 2), 5))
 
         err = finite_difference_check(loss_fn, [x], max_coords_per_param=30)
+        assert err < 1e-7
+
+    @staticmethod
+    def _unfold_loop(x, width):
+        P = x.shape[1] - width + 1
+        return np.stack([x[:, p:p + width] for p in range(P)], axis=1)
+
+    @staticmethod
+    def _fold_loop(x, length):
+        out = np.zeros((x.shape[0], length, x.shape[3]))
+        for p in range(x.shape[1]):
+            out[:, p:p + x.shape[2]] += x[:, p]
+        return out
+
+    @staticmethod
+    def _spread(rng, *shape):
+        # magnitudes over six decades, so a changed summation order shows in
+        # the last bits of the overlap-adds
+        return rand(rng, *shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 6])
+    def test_unfold_matches_loop_definition(self, width):
+        rng = np.random.default_rng(12)
+        x = parameter(self._spread(rng, 3, 9, 16))
+        out = unfold(x, width)
+        expected = self._unfold_loop(x.values, width)
+        np.testing.assert_array_equal(out.values, expected)
+        assert out.values.flags["C_CONTIGUOUS"]
+        g = self._spread(rng, *expected.shape)
+        backward(tsum(out * constant(g)))
+        # the gradient is the loop's overlap-add, in the same summation order
+        np.testing.assert_array_equal(x.grad, self._fold_loop(g, 9))
+
+    @pytest.mark.parametrize("width,length", [(1, 9), (3, 9), (4, 11), (9, 9)])
+    def test_fold_matches_loop_definition(self, width, length):
+        rng = np.random.default_rng(13)
+        P = 9 - width + 1
+        x = parameter(self._spread(rng, 3, P, width, 16))
+        out = fold(x, length)
+        np.testing.assert_array_equal(out.values, self._fold_loop(x.values, length))
+        g = self._spread(rng, 3, length, 16)
+        backward(tsum(out * constant(g)))
+        np.testing.assert_array_equal(x.grad, self._unfold_loop(g[:, :9], width))
+
+    def test_swap_last_axes_values(self):
+        rng = np.random.default_rng(15)
+        x = rand(rng, 2, 3, 4)
+        np.testing.assert_array_equal(swap_last_axes(constant(x)).values,
+                                      np.swapaxes(x, -1, -2))
+        np.testing.assert_array_equal(swap_last_axes(constant(x[0])).values, x[0].T)
+
+    def test_swap_last_axes_matches_fd(self):
+        rng = np.random.default_rng(16)
+        w = parameter(rand(rng, 5, 4))
+        x = parameter(rand(rng, 2, 3, 4))
+        coef = constant(rand(rng, 2, 5, 3))
+
+        def loss_fn():
+            # w^T is a trainable right operand; x^T exercises a batched swap
+            y = matmul(x, swap_last_axes(w))
+            return tsum(tanh(swap_last_axes(y)) * coef)
+
+        err = finite_difference_check(loss_fn, [w, x], max_coords_per_param=20)
         assert err < 1e-7
 
     def test_max_routes_to_argmax(self):

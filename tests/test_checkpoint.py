@@ -63,3 +63,29 @@ class TestCheckpoint:
 
     def test_config_hash_stable_under_key_order(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
+
+    def test_truncated_file_rejected_by_name(self, params, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, {"seed": 7})
+        blob = path.read_bytes()
+        # cut inside the version, the header, a name, a shape and the last array
+        for cut in (10, 20, len(blob) - 8 * 6 - 30, len(blob) - 60, len(blob) - 1):
+            short = tmp_path / f"short{cut}.ckpt"
+            short.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match=rf"{short.name}.*truncated"):
+                load_checkpoint(short)
+
+    def test_failed_save_keeps_previous_file(self, params, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, {"seed": 1})
+        before = path.read_bytes()
+
+        class Unwritable:
+            @property
+            def values(self):
+                raise RuntimeError("simulated crash mid-write")
+
+        with pytest.raises(RuntimeError, match="mid-write"):
+            save_checkpoint(path, {**params, "z.last": Unwritable()}, {"seed": 2})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]

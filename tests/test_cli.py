@@ -170,6 +170,79 @@ class TestPipelineCommands:
         assert set(record) >= {"sentence", "tokens", "lambda", "raw_relevance",
                                "eta", "epsilon"}
 
+    def _inspect_eta(self, cli_env, run_dir, *extra):
+        src = Path(cli_env["root"]) / "inspect_eta_in.txt"
+        src.write_text("".join(line + "\n" for line in cli_env["corpus"].dev_sentences[:6]))
+        rc = main(["--config", cli_env["config"], "--run-dir", str(run_dir),
+                   "lrp-inspect", "--input", str(src), *extra])
+        assert rc == 0
+        records = [json.loads(line) for line in
+                   (Path(run_dir) / "relevance.jsonl").read_text().splitlines()]
+        assert len(records) == 6
+        assert len({r["eta"] for r in records}) == 1
+        return records[0]["eta"], [r["target_style"] for r in records]
+
+    def test_09b_lrp_inspect_uses_the_run_eta(self, cli_env, capsys, tmp_path):
+        from restyle.checkpoint import load_checkpoint
+
+        run_dir = Path(cli_env["run_dir"])
+        manifest_eta = json.loads((run_dir / "manifest.json").read_text())["eta"]
+        header_eta = load_checkpoint(run_dir / "stage1.ckpt")[0]["eta"]
+        assert manifest_eta == header_eta
+        assert self._inspect_eta(cli_env, run_dir)[0] == manifest_eta
+        assert self._inspect_eta(cli_env, run_dir, "--eta", "2.5")[0] == 2.5
+        # without a manifest the stage-1 checkpoint header supplies it
+        bare = tmp_path / "no_manifest"
+        bare.mkdir()
+        for name in ("vocab.txt", "classifier.ckpt", "stage1.ckpt"):
+            (bare / name).write_bytes((run_dir / name).read_bytes())
+        assert self._inspect_eta(cli_env, bare)[0] == header_eta
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("target", ["0", "1", "pred"])
+    def test_09c_lrp_inspect_calibrates_on_explained_labels(self, cli_env, capsys,
+                                                             tmp_path, target):
+        from restyle.cli import load_classifier
+        from restyle.config import load_config
+        from restyle.data import Vocabulary
+        from restyle.lrp import calibrate_eta
+
+        run_dir = Path(cli_env["run_dir"])
+        bare = tmp_path / "before_stage1"
+        bare.mkdir()
+        for name in ("vocab.txt", "classifier.ckpt"):
+            (bare / name).write_bytes((run_dir / name).read_bytes())
+        eta, targets = self._inspect_eta(cli_env, bare, "--target-style", target)
+        capsys.readouterr()
+        cfg = load_config(cli_env["config"])
+        vocab = Vocabulary.load(bare / "vocab.txt")
+        clf = load_classifier(bare / "classifier.ckpt", vocab)
+        encoded = [vocab.encode(s) for s in cli_env["corpus"].dev_sentences[:6]]
+        if target == "pred":
+            assert targets == clf.predict(encoded).tolist()
+        else:
+            assert targets == [int(target)] * 6
+        assert eta == calibrate_eta(clf, encoded, targets, target_lambda=cfg.lrp.eta_target,
+                                    seed=cfg.seed_for("eta"))
+
+    def test_09d_evaluate_lowercases_references(self, cli_env, capsys, tmp_path):
+        # data.lowercase defaults to true: outputs and references compare in lower case
+        run_dir = Path(cli_env["run_dir"])
+        lines = cli_env["corpus"].dev_sentences[:8]
+        outputs = tmp_path / "outputs.txt"
+        outputs.write_text("".join(line + "\n" for line in lines))
+        refs = tmp_path / "refs.txt"
+        refs.write_text("".join(line.title() + "\n" for line in lines))
+        eval_dir = tmp_path / "eval"
+        eval_dir.mkdir()
+        for name in ("vocab.txt", "classifier.ckpt"):
+            (eval_dir / name).write_bytes((run_dir / name).read_bytes())
+        rc = main(["--config", cli_env["config"], "--run-dir", str(eval_dir), "evaluate",
+                   "--outputs", str(outputs), "--refs", str(refs), "--target-style", "1"])
+        capsys.readouterr()
+        assert rc == 0
+        assert json.loads((eval_dir / "metrics.json").read_text())["bleu"] == pytest.approx(100.0)
+
     def test_10_ablate_appends_csv(self, cli_env, capsys):
         rc = run_cli(cli_env, "ablate", "--variant", "no-nsc")
         capsys.readouterr()
@@ -224,3 +297,48 @@ class TestConfig:
     def test_set_overrides(self, capsys):
         rc = main(["--set", "stage2.alpha=2.5", "gradcheck", "--coords-per-param", "1"])
         assert rc == 0
+
+
+class TestReferences:
+    def test_load_references_lowercases_when_configured(self, tmp_path):
+        from restyle.cli import _load_references
+        from restyle.config import load_config
+        from restyle.data import LabeledCorpus
+
+        paths = {}
+        for style, rows in ((0, ["The Food .", "A Room ."]), (1, ["Great Stuff ."])):
+            for r in range(2):
+                p = tmp_path / f"ref{style}.{r}.txt"
+                p.write_text("".join(f"{row} {r}\n" for row in rows))
+                paths.setdefault(style, []).append(str(p))
+        overrides = {f"data.test_refs_style{s}": ",".join(ps) for s, ps in paths.items()}
+        test = LabeledCorpus([[4], [5], [6]], [0, 1, 0])
+        lower = _load_references(load_config(None, {**overrides, "data.lowercase": "true"}),
+                                 test)
+        assert lower == [["the food . 0", "the food . 1"], ["great stuff . 0", "great stuff . 1"],
+                         ["a room . 0", "a room . 1"]]
+        kept = _load_references(load_config(None, {**overrides, "data.lowercase": "false"}),
+                                test)
+        assert kept[0] == ["The Food . 0", "The Food . 1"]
+
+
+class TestManifest:
+    def test_interrupted_update_keeps_previous_manifest(self, tmp_path, monkeypatch):
+        import os
+
+        from restyle.cli import update_manifest
+        from restyle.config import load_config
+
+        cfg = load_config(None)
+        update_manifest(tmp_path, cfg, {"eta": 1.5})
+        before = (tmp_path / "manifest.json").read_text()
+
+        def crash(src, dst):
+            raise OSError("simulated crash before rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="before rename"):
+            update_manifest(tmp_path, cfg, {"eta": 2.5})
+        assert (tmp_path / "manifest.json").read_text() == before
+        assert json.loads(before)["eta"] == 1.5
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]

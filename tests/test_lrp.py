@@ -81,6 +81,77 @@ class TestZruleOracle:
         assert ev == 0
         np.testing.assert_array_equal(r.values, [0.0, 0.0])
 
+    @staticmethod
+    def _batched_layer(rng, B=3, P=4, k_in=6, k_out=5, min_denom=1e-2):
+        """(B, P, K_in) inputs with two all-zero rows and one all-zero weight
+        column, so dead columns occur both in dead rows and in live ones;
+        every other column's denominator is bounded away from zero."""
+        while True:
+            v = rng.uniform(-1, 1, size=(B, P, k_in))
+            v[0, 1] = 0.0
+            v[2, 3] = 0.0
+            w = rng.uniform(-1, 1, size=(k_in, k_out))
+            w[:, 2] = 0.0
+            r = rng.uniform(-1, 1, size=(B, P, k_out))
+            live = np.abs(v @ w)[..., [0, 1, 3, 4]]
+            live = np.delete(live.reshape(B * P, -1), [1, 11], axis=0)
+            if live.min() >= min_denom:
+                return v, w, r
+
+    @pytest.mark.parametrize("stab", [0.0, 1e-9])
+    def test_batched_rows_with_dead_columns_match_naive(self, stab):
+        rng = np.random.default_rng(7)
+        v, w, r = self._batched_layer(rng)
+        with ad.no_grad():
+            r_in, ev = zrule_backward(constant(v), constant(w), constant(r), stab)
+        assert r_in.shape == v.shape
+        for b in range(v.shape[0]):
+            for p in range(v.shape[1]):
+                np.testing.assert_allclose(r_in.values[b, p],
+                                           naive_zrule(v[b, p], w, r[b, p], stab),
+                                           rtol=1e-9, atol=1e-12)
+        zero_denoms = sum(
+            sum(v[b, p, k] * w[k, j] for k in range(w.shape[0])) == 0.0
+            for b in range(v.shape[0]) for p in range(v.shape[1]) for j in range(w.shape[1]))
+        # two dead rows lose all five columns, the other ten rows column 2 only
+        assert zero_denoms == 2 * 5 + 10
+        assert ev == (zero_denoms if stab == 0.0 else 0)
+
+    @pytest.mark.parametrize("stab", [0.0, 1e-9])
+    def test_gradient_in_inputs_weights_and_relevance_matches_fd(self, stab):
+        rng = np.random.default_rng(8)
+        v0, w0, r0 = self._batched_layer(rng)
+        # perturbing a dead row or the zero column would flip the fallback,
+        # so the finite differences run on live entries only
+        v0[0, 1] = rng.uniform(-1, 1, size=v0.shape[-1])
+        v0[2, 3] = rng.uniform(-1, 1, size=v0.shape[-1])
+        w0[:, 2] = rng.uniform(-1, 1, size=w0.shape[0])
+        assert np.abs(v0 @ w0).min() >= 1e-2
+        v, w, r = parameter(v0), parameter(w0), parameter(r0)
+        coef = constant(rng.uniform(-1, 1, size=v0.shape))
+
+        def loss_fn():
+            r_in, _ = zrule_backward(v, w, r, stab)
+            return (r_in * coef).sum()
+
+        err = finite_difference_check(loss_fn, [v, w, r], step=1e-6,
+                                      max_coords_per_param=24)
+        assert err < 1e-5
+
+    def test_fallback_gradient_in_relevance(self):
+        # with the stabilizer off a dead column's relevance reaches every
+        # input as 1/K_in of it, so d(sum r_in)/d r_out is 1 on every column
+        v = np.zeros((2, 3))
+        v[1] = [0.5, -1.0, 2.0]
+        w = np.array([[1.0, 0.0], [0.5, 0.0], [1.5, 0.0]])
+        r = parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        r_in, ev = zrule_backward(constant(v), constant(w), r, 0.0)
+        assert ev == 3
+        np.testing.assert_allclose(r_in.values[0], np.full(3, 1.0))
+        np.testing.assert_allclose(r_in.values[1].sum(), 7.0, rtol=1e-12)
+        backward(r_in.sum())
+        np.testing.assert_allclose(r.grad, np.ones((2, 2)), rtol=1e-12)
+
 
 class TestPropagate:
     def test_all_pad_input_gets_zero_relevance(self, small_classifier):
