@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import struct
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -43,13 +44,19 @@ def file_hash(path) -> str:
 @contextmanager
 def atomic_write(path):
     """Binary file handle for ``path`` that replaces it only when the block
-    completes: the bytes go to a temp file in the same directory, which is
-    flushed to disk and then renamed over ``path``. A crash mid-write leaves
-    the previous file intact."""
+    completes: the bytes go to a temp file of the writer's own in the same
+    directory, which is flushed to disk and then renamed over ``path``. A
+    crash mid-write leaves the previous file intact, and of two writers of one
+    path the later rename wins with its whole content."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
+    fd, name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = Path(name)
     try:
-        with open(tmp, "wb") as f:
+        with os.fdopen(fd, "wb") as f:
+            # mkstemp creates the file private; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(f.fileno(), 0o666 & ~umask)
             yield f
             f.flush()
             os.fsync(f.fileno())

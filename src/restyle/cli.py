@@ -484,7 +484,8 @@ def cmd_lrp_inspect(args, cfg: ExperimentConfig) -> int:
     if args.eta:
         eta = float(args.eta)
     else:
-        eta = run_eta(run_dir)
+        # the run's eta was calibrated on the run's classifier, not on --classifier
+        eta = None if args.classifier else run_eta(run_dir)
         if eta is None:
             eta = resolve_eta(cfg, clf, LabeledCorpus(encoded, targets))
     records = []
@@ -637,8 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-style", default="pred",
                    help="0, 1, or 'pred' for the classifier's own prediction")
     p.add_argument("--eta", default=None,
-                   help="scaling factor (default: the run's stage-1 eta, else calibrated "
-                        "on the input against the explained labels)")
+                   help="scaling factor (default: the run's stage-1 eta, else, or with "
+                        "--classifier, calibrated on the input against the explained labels)")
     p.add_argument("--epsilon", type=float, default=0.3)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all losses")

@@ -3,6 +3,7 @@ import pytest
 
 from restyle.autodiff import parameter
 from restyle.checkpoint import (
+    atomic_write,
     config_hash,
     load_checkpoint,
     params_hash,
@@ -89,3 +90,23 @@ class TestCheckpoint:
             save_checkpoint(path, {**params, "z.last": Unwritable()}, {"seed": 2})
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    def test_overlapping_writers_each_install_whole_content(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        with atomic_write(path) as outer:
+            outer.write(b"outer " * 100)
+            with atomic_write(path) as inner:
+                inner.write(b"inner")
+            assert path.read_bytes() == b"inner"
+            outer.write(b"end")
+        assert path.read_bytes() == b"outer " * 100 + b"end"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+    def test_written_file_has_the_umask_mode(self, params, tmp_path):
+        import os
+
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, {"seed": 7})
+        assert os.stat(path).st_mode & 0o777 == os.stat(plain).st_mode & 0o777

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from restyle.autodiff import parameter
 from restyle.cli import main
 from restyle.synthetic import generate_marker_corpus, write_corpus_files
 
@@ -224,6 +225,34 @@ class TestPipelineCommands:
             assert targets == [int(target)] * 6
         assert eta == calibrate_eta(clf, encoded, targets, target_lambda=cfg.lrp.eta_target,
                                     seed=cfg.seed_for("eta"))
+
+    def test_09e_lrp_inspect_calibrates_for_another_classifier(self, cli_env, capsys,
+                                                               tmp_path):
+        from restyle.checkpoint import load_checkpoint, save_checkpoint
+        from restyle.cli import load_classifier
+        from restyle.config import load_config
+        from restyle.data import Vocabulary
+        from restyle.lrp import calibrate_eta
+
+        # the run's classifier with every weight scaled: same vocabulary,
+        # larger logits, so the run's eta does not fit it
+        run_dir = Path(cli_env["run_dir"])
+        header, arrays = load_checkpoint(run_dir / "classifier.ckpt")
+        other = tmp_path / "other_classifier.ckpt"
+        save_checkpoint(other, {k: parameter(3.0 * v) for k, v in arrays.items()}, header)
+        eta, targets = self._inspect_eta(cli_env, run_dir, "--classifier", str(other))
+        capsys.readouterr()
+        cfg = load_config(cli_env["config"])
+        vocab = Vocabulary.load(run_dir / "vocab.txt")
+        clf = load_classifier(other, vocab)
+        encoded = [vocab.encode(s) for s in cli_env["corpus"].dev_sentences[:6]]
+        assert targets == clf.predict(encoded).tolist()
+        expected = calibrate_eta(clf, encoded, targets, target_lambda=cfg.lrp.eta_target,
+                                 seed=cfg.seed_for("eta"))
+        assert expected != json.loads((run_dir / "manifest.json").read_text())["eta"]
+        assert eta == expected
+        assert self._inspect_eta(cli_env, run_dir, "--classifier", str(other),
+                                 "--eta", "2.5")[0] == 2.5
 
     def test_09d_evaluate_lowercases_references(self, cli_env, capsys, tmp_path):
         # data.lowercase defaults to true: outputs and references compare in lower case

@@ -5,17 +5,24 @@
         --log runs.jsonl
     python3 tools/paired_bench.py summary --log runs.jsonl --out BENCH.json
 
-``run`` calls ``perfbench/run.py --workload W --seed N --seconds 10 --trace 0``
-in each checkout, one pair per (workload, seed), alternating which side goes
-first from pair to pair so that a slow phase of the machine does not always
-land on the same side. With ``--trace 1`` it runs the traced pass instead.
+``run`` calls ``perfbench/run.py --workload W --seed N --seconds S --trace 0``
+in each checkout, with S the ``run_seconds`` of the change checkout's
+``BENCHMARK.json``, so both sides run as long as the benchmark does. It makes
+one pair per (workload, seed), alternating which side goes first from pair to
+pair so that a slow phase of the machine does not always land on the same
+side. With ``--trace 1`` it runs the traced pass instead.
 Every result line is appended to ``--log`` as soon as it exists, and pairs
 already in the log are skipped, so an interrupted run resumes.
 
 ``summary`` reads the log and writes, per workload and end-to-end metric, the
 per-pair values, medians and quartiles of each side, the change/parent ratio
-of the medians, the number of pairs the change wins, and the quartile spread
-of the parent's runs; traced runs are listed per layer metric, and
+of the medians, the number of pairs the change wins, the parent's quartile
+range, and a verdict by the benchmark's rule: ``lower`` (``higher``) when
+every run of the change reads below (above) every run of the parent; else
+``unresolved`` when either side's quartile spread exceeds the metric's bound
+in ``BENCHMARK.json``; else ``lower`` or ``higher`` when the change wins (or
+loses) at least nine pairs in ten and its median moves by more than the
+parent's quartile range; else ``no demonstrated change``; traced runs are listed per layer metric, and
 ``--equivalence`` includes a ``tools/zrule_equivalence.py`` result.
 """
 
@@ -31,6 +38,11 @@ import sys
 from pathlib import Path
 
 METRICS = ("setup_s", "peak_rss_mb", "round_s")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def run_seconds(checkout: Path) -> float:
+    return json.loads((checkout / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def run_one(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -51,13 +63,14 @@ def cmd_run(args) -> None:
             rec = json.loads(line)
             done.add((rec["workload"], rec["seed"], rec["trace"], rec["side"]))
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = run_seconds(sides["change"])
     for workload in args.workloads:
         for i, seed in enumerate(args.seeds):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
                 if (workload, seed, args.trace, side) in done:
                     continue
-                rec = run_one(sides[side], workload, seed, args.seconds, args.trace)
+                rec = run_one(sides[side], workload, seed, seconds, args.trace)
                 rec.update(workload=workload, seed=seed, trace=args.trace, side=side,
                            position=order.index(side))
                 with open(args.log, "a") as f:
@@ -86,7 +99,26 @@ def machine() -> dict:
             "numpy": numpy.__version__, "cpu": cpu, "cpus": os.cpu_count()}
 
 
+def verdict(vals: dict, stats: dict, bound: float) -> str:
+    if max(vals["change"]) < min(vals["parent"]):
+        return "lower"
+    if min(vals["change"]) > max(vals["parent"]):
+        return "higher"
+    if max(stats[side]["spread"] for side in stats) > bound:
+        return "unresolved"
+    gap = stats["change"]["median"] - stats["parent"]["median"]
+    iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+    pairs = list(zip(vals["parent"], vals["change"]))
+    if 10 * sum(c < p for p, c in pairs) >= 9 * len(pairs) and -gap > iqr:
+        return "lower"
+    if 10 * sum(c > p for p, c in pairs) >= 9 * len(pairs) and gap > iqr:
+        return "higher"
+    return "no demonstrated change"
+
+
 def cmd_summary(args) -> None:
+    bounds = {m["name"]: m["bound"]
+              for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     recs = [json.loads(line) for line in args.log.read_text().splitlines()]
     out = {"machine": machine(), "workloads": {}, "traced": {}}
     if args.equivalence:
@@ -116,6 +148,8 @@ def cmd_summary(args) -> None:
                 "ratio_of_medians": stats["change"]["median"] / stats["parent"]["median"],
                 "change_wins": sum(c < p for p, c in zip(vals["parent"], vals["change"])),
                 "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
+                "bound": bounds[m],
+                "verdict": verdict(vals, stats, bounds[m]),
             }
         out["workloads"][workload] = entry
         traced = [r for r in recs if r["workload"] == workload and r["trace"] == 1]
@@ -138,7 +172,6 @@ def main(argv=None) -> int:
     r.add_argument("--change", type=Path, required=True)
     r.add_argument("--workloads", nargs="+", required=True)
     r.add_argument("--seeds", type=int, nargs="+", required=True)
-    r.add_argument("--seconds", type=float, default=10)
     r.add_argument("--trace", type=int, choices=[0, 1], default=0)
     r.add_argument("--log", type=Path, required=True)
     s = sub.add_parser("summary")
