@@ -6,7 +6,7 @@ language models expose ``fit``/``predict``-style methods, and
 ``fit``/``transform``.
 """
 
-from restyle.data import Vocabulary, LabeledCorpus, CorruptionConfig, build_vocab
+from restyle.data import Vocabulary, LabeledCorpus, build_vocab
 from restyle.textcnn import TextCnnStyleClassifier
 from restyle.language_model import DirectionalLanguageModel
 from restyle.seq2seq import Seq2seqModel
@@ -16,7 +16,6 @@ from restyle.metrics import MetricReport, corpus_bleu, transfer_accuracy, aggreg
 __all__ = [
     "Vocabulary",
     "LabeledCorpus",
-    "CorruptionConfig",
     "build_vocab",
     "TextCnnStyleClassifier",
     "DirectionalLanguageModel",

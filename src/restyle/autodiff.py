@@ -604,19 +604,21 @@ def global_grad_norm(params) -> float:
 
 
 def clip_global_norm(params, clip_norm: float) -> float:
-    """Rescale grads so their global norm is <= clip_norm; returns pre-clip norm."""
+    """Rescale grads so their global norm is <= clip_norm; returns pre-clip norm.
+    Grads of a non-finite norm are left as they are."""
     norm = global_grad_norm(params)
-    if norm > clip_norm * (1.0 + 1e-12):
+    if np.isfinite(norm) and norm > clip_norm * (1.0 + 1e-12):
         scale = clip_norm / norm
         for p in params:
             p.grad *= scale
     return norm
 
 
-class SgdOptimizer:
-    """Plain SGD with global-norm gradient clipping."""
+class ClippedOptimizer:
+    """Global-norm gradient clipping and the skip of a non-finite step, shared
+    by the update rules below."""
 
-    def __init__(self, params, learning_rate: float, clip_norm: float, momentum: float = 0.0):
+    def __init__(self, params, learning_rate: float, clip_norm: float):
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if clip_norm <= 0:
@@ -624,63 +626,42 @@ class SgdOptimizer:
         self.params = list(params)
         self.learning_rate = learning_rate
         self.clip_norm = clip_norm
-        self.momentum = momentum
-        self.velocity = [np.zeros_like(p.values) for p in self.params] if momentum else None
         self.skipped_steps = 0
 
     def step(self) -> float:
-        """Clip, update, zero grads. Returns the pre-clip gradient norm."""
-        norm = global_grad_norm(self.params)
-        if not np.isfinite(norm):
+        """Clip, update, zero grads. Returns the pre-clip gradient norm; a
+        non-finite norm skips the update and counts in ``skipped_steps``."""
+        norm = clip_global_norm(self.params, self.clip_norm)
+        if np.isfinite(norm):
+            self._update()
+        else:
             self.skipped_steps += 1
             logger.warning("optimizer: non-finite gradient norm, step skipped")
-            for p in self.params:
-                p.zero_grad()
-            return norm
-        if norm > self.clip_norm * (1.0 + 1e-12):
-            scale = self.clip_norm / norm
-            for p in self.params:
-                p.grad *= scale
-        for i, p in enumerate(self.params):
-            if self.velocity is not None:
-                self.velocity[i] = self.momentum * self.velocity[i] + p.grad
-                p.values -= self.learning_rate * self.velocity[i]
-            else:
-                p.values -= self.learning_rate * p.grad
+        for p in self.params:
             p.zero_grad()
         return norm
 
 
-class AdamOptimizer:
+class SgdOptimizer(ClippedOptimizer):
+    """Plain SGD with global-norm gradient clipping."""
+
+    def _update(self) -> None:
+        for p in self.params:
+            p.values -= self.learning_rate * p.grad
+
+
+class AdamOptimizer(ClippedOptimizer):
     """Adam with the same global-norm clipping contract as SGD."""
 
     def __init__(self, params, learning_rate: float, clip_norm: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        self.params = list(params)
-        self.learning_rate = learning_rate
-        self.clip_norm = clip_norm
+        super().__init__(params, learning_rate, clip_norm)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.values) for p in self.params]
         self.v = [np.zeros_like(p.values) for p in self.params]
         self.t = 0
-        self.skipped_steps = 0
 
-    def step(self) -> float:
-        norm = global_grad_norm(self.params)
-        if not np.isfinite(norm):
-            self.skipped_steps += 1
-            logger.warning("optimizer: non-finite gradient norm, step skipped")
-            for p in self.params:
-                p.zero_grad()
-            return norm
-        if norm > self.clip_norm * (1.0 + 1e-12):
-            scale = self.clip_norm / norm
-            for p in self.params:
-                p.grad *= scale
+    def _update(self) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
@@ -688,8 +669,6 @@ class AdamOptimizer:
             self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * p.grad
             self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * p.grad * p.grad
             p.values -= self.learning_rate * (self.m[i] / b1t) / (np.sqrt(self.v[i] / b2t) + self.eps)
-            p.zero_grad()
-        return norm
 
 
 def make_optimizer(name: str, params, learning_rate: float, clip_norm: float):

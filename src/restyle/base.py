@@ -7,6 +7,7 @@ models still duck-type into that ecosystem.
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 
 import numpy as np
@@ -65,3 +66,9 @@ def check_binary_labels(y, n: int) -> np.ndarray:
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be binary (0 or 1)")
     return y
+
+
+def derive_seed(root_seed: int, component: str) -> int:
+    """A component's seed: a hash of the root seed and the component's name."""
+    digest = hashlib.sha256(f"{root_seed}:{component}".encode()).digest()
+    return int.from_bytes(digest[:4], "little") % (2 ** 31)

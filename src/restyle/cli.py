@@ -14,9 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from restyle import autodiff as ad
 from restyle.checkpoint import (
     atomic_write,
     config_hash,
@@ -35,10 +32,11 @@ from restyle.seq2seq import Seq2seqModel
 from restyle.textcnn import TextCnnStyleClassifier
 from restyle.training import (
     LambdaTargetCache,
-    Stage1Trainer,
     Stage2Trainer,
     TrainLog,
+    fit_language_models,
     resolve_ablation,
+    train_stage1,
 )
 
 EXIT_USAGE = 2
@@ -84,10 +82,14 @@ def update_manifest(run_dir: Path, cfg: ExperimentConfig, updates: dict) -> dict
     for name in manifest["artifacts"]:
         if not (run_dir / name).exists():
             raise CliError(f"manifest references missing artifact {name}")
-    with atomic_write(path) as f:
-        f.write(json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
+    write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
 
+
+def write_text_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` whole, or leave the previous file."""
+    with atomic_write(path) as f:
+        f.write(text.encode("utf-8"))
 
 def require(path: Path, what: str) -> Path:
     if not path.exists():
@@ -284,28 +286,20 @@ def cmd_train_lm(args, cfg: ExperimentConfig) -> int:
     train = load_split(cfg, vocab, "train")
     styles = [args.style] if args.style is not None else [0, 1]
     directions = [args.direction] if args.direction else ["forward", "backward"]
+    lms = fit_language_models(train, cfg.root_seed, styles, directions,
+                              vocab_size=len(vocab), embed_dim=cfg.lm.embed_dim,
+                              hidden_dim=cfg.lm.hidden_dim, epochs=cfg.lm.epochs,
+                              learning_rate=cfg.lm.learning_rate,
+                              clip_norm=cfg.lm.clip_norm, batch_size=cfg.lm.batch_size,
+                              max_len=cfg.data.max_len, optimizer=cfg.lm.optimizer)
     updates = {"artifacts": {}, "seeds": {}}
-    for style in styles:
-        styled = train.by_style(style)
-        for direction in directions:
-            seed = cfg.seed_for(f"lm.{style}.{direction}")
-            lm = DirectionalLanguageModel(vocab_size=len(vocab), style=style,
-                                          direction=direction,
-                                          embed_dim=cfg.lm.embed_dim,
-                                          hidden_dim=cfg.lm.hidden_dim,
-                                          epochs=cfg.lm.epochs,
-                                          learning_rate=cfg.lm.learning_rate,
-                                          clip_norm=cfg.lm.clip_norm,
-                                          batch_size=cfg.lm.batch_size,
-                                          max_len=cfg.data.max_len,
-                                          optimizer=cfg.lm.optimizer, seed=seed)
-            lm.fit(styled.sentences)
-            name = f"lm.{style}.{direction}.ckpt"
-            save_lm(run_dir / name, lm, vocab, cfg)
-            updates["artifacts"][name] = file_hash(run_dir / name)
-            updates["seeds"][f"lm.{style}.{direction}"] = seed
-            print(f"lm style={style} direction={direction}: "
-                  f"held-out perplexity {lm.dev_perplexity_:.3f}")
+    for (style, direction), lm in lms.items():
+        name = f"lm.{style}.{direction}.ckpt"
+        save_lm(run_dir / name, lm, vocab, cfg)
+        updates["artifacts"][name] = file_hash(run_dir / name)
+        updates["seeds"][f"lm.{style}.{direction}"] = lm.seed
+        print(f"lm style={style} direction={direction}: "
+              f"held-out perplexity {lm.dev_perplexity_:.3f}")
     update_manifest(run_dir, cfg, updates)
     return 0
 
@@ -320,18 +314,14 @@ def cmd_train_stage1(args, cfg: ExperimentConfig) -> int:
     eta = resolve_eta(cfg, clf, train)
     lrp_cfg = cfg.lrp_config(calibrated_eta=eta)
     cache = LambdaTargetCache(clf, lrp_cfg)
-    cache.precompute(train)
     model = Seq2seqModel(len(vocab), embed_dim=cfg.model.embed_dim,
                          hidden_dim=cfg.model.hidden_dim, attn_dim=cfg.model.attn_dim,
                          head_dim=cfg.model.head_dim, style_dim=cfg.model.style_dim,
                          mlp_dim=cfg.model.mlp_dim, seed=cfg.seed_for("stage1-init"))
     cfg.stage1.max_len = cfg.data.max_len
     log = TrainLog(run_dir / "train_log.stage1.csv")
-    trainer = Stage1Trainer(model, clf, cache, cfg.stage1, train, dev_corpus=dev,
-                            log=log)
-    trainer.train()
+    metrics = train_stage1(model, clf, cache, cfg.stage1, train, dev, log)
     log.close()
-    metrics = trainer.evaluate(dev if dev is not None else train)
     save_seq2seq(run_dir / "stage1.ckpt", model, vocab, 1, cfg, eta, lrp_cfg.epsilon)
     update_manifest(run_dir, cfg, {
         "artifacts": {"stage1.ckpt": file_hash(run_dir / "stage1.ckpt")},
@@ -415,18 +405,18 @@ def cmd_transfer(args, cfg: ExperimentConfig) -> int:
     decoded = [vocab.decode(o) for o in outputs]
     out_path = Path(args.output) if args.output else run_dir / "outputs.txt"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("".join(line + "\n" for line in decoded))
+    write_text_atomic(out_path, "".join(line + "\n" for line in decoded))
     if args.dump_relevance:
-        rel_path = run_dir / "relevance.jsonl"
-        with open(rel_path, "w", encoding="utf-8") as f:
-            for src, out, g in zip(sentences, outputs, gates):
-                tokens = [vocab.id_to_token[t] for t in out]
-                lam = [round(float(x), 6) for x in g[:len(out)]]
-                f.write(json.dumps({"input": src, "output_tokens": tokens,
-                                    "lambda": lam}) + "\n")
-                for tok, x in zip(tokens, lam):
-                    print(f"{tok}\t{x:.4f}")
-                print()
+        records = []
+        for src, out, g in zip(sentences, outputs, gates):
+            tokens = [vocab.id_to_token[t] for t in out]
+            lam = [round(float(x), 6) for x in g[:len(out)]]
+            records.append({"input": src, "output_tokens": tokens, "lambda": lam})
+            for tok, x in zip(tokens, lam):
+                print(f"{tok}\t{x:.4f}")
+            print()
+        write_text_atomic(run_dir / "relevance.jsonl",
+                          "".join(json.dumps(rec) + "\n" for rec in records))
     for line in decoded:
         print(line)
     if run_dir.joinpath("manifest.json").exists():
@@ -449,16 +439,11 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
             raise CliError(f"reference count {len(col)} does not match outputs "
                            f"{len(outputs)}")
     references = [[col[i] for col in ref_columns] for i in range(len(outputs))]
-    encoded = [vocab.encode(s) for s in outputs]
-    nonempty = [i for i, e in enumerate(encoded) if e]
-    acc_hits = 0
-    if nonempty:
-        pred = clf.predict([encoded[i] for i in nonempty])
-        acc_hits = int((pred == args.target_style).sum())
-    acc = 100.0 * acc_hits / len(outputs)
+    acc = transfer_accuracy([vocab.encode(s) for s in outputs],
+                            [args.target_style] * len(outputs), clf)
     bleu = corpus_bleu(outputs, references, smooth=args.smooth_bleu)
     report = build_report(acc, bleu, len(outputs))
-    (run_dir / "metrics.json").write_text(report.to_json())
+    write_text_atomic(run_dir / "metrics.json", report.to_json())
     print(report.to_table())
     if run_dir.joinpath("manifest.json").exists():
         update_manifest(run_dir, cfg, {
@@ -504,9 +489,8 @@ def cmd_lrp_inspect(args, cfg: ExperimentConfig) -> int:
                         "lambda": [round(float(x), 6) for x in lam],
                         "raw_relevance": [round(float(x), 8) for x in raw],
                         "eta": eta, "epsilon": args.epsilon})
-    with open(run_dir / "relevance.jsonl", "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(json.dumps(rec) + "\n")
+    write_text_atomic(run_dir / "relevance.jsonl",
+                      "".join(json.dumps(rec) + "\n" for rec in records))
     return 0
 
 

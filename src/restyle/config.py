@@ -8,9 +8,9 @@ from one root seed.
 from __future__ import annotations
 
 import configparser
-import hashlib
 from dataclasses import dataclass, field, fields
 
+from restyle.base import derive_seed
 from restyle.training import LrpConfig, Stage1Config, Stage2Config, resolve_ablation
 
 
@@ -84,8 +84,7 @@ class ExperimentConfig:
     stage2: Stage2Config = field(default_factory=Stage2Config)
 
     def seed_for(self, component: str) -> int:
-        digest = hashlib.sha256(f"{self.root_seed}:{component}".encode()).digest()
-        return int.from_bytes(digest[:4], "little") % (2 ** 31)
+        return derive_seed(self.root_seed, component)
 
     def to_dict(self) -> dict:
         out = {"root_seed": self.root_seed}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -109,16 +109,6 @@ def read_sentences(path) -> list[str]:
         return [line.strip() for line in f if line.strip()]
 
 
-@dataclass
-class CorruptionConfig:
-    replace_prob: float = 0.15
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.replace_prob <= 1.0:
-            raise ValueError(f"replace_prob must be in [0,1], got {self.replace_prob}")
-
-
 def corrupt(ids: list[int], vocab_size: int, replace_prob: float, rng) -> list[int]:
     """Independently replace non-reserved positions with uniform non-reserved tokens."""
     if not ids:
@@ -130,6 +120,13 @@ def corrupt(ids: list[int], vocab_size: int, replace_prob: float, rng) -> list[i
         if tok >= N_RESERVED and rng.random() < replace_prob:
             out[i] = int(rng.integers(N_RESERVED, vocab_size))
     return out
+
+
+def corrupt_batch(batch: Batch, vocab_size: int, replace_prob: float, rng) -> np.ndarray:
+    """The batch's (B, T) encoder ids with every sentence corrupted."""
+    T = batch.enc_ids.shape[1]
+    return np.array([corrupt(list(row[:l]), vocab_size, replace_prob, rng) + [PAD] * (T - l)
+                     for row, l in zip(batch.enc_ids, batch.lengths)], dtype=np.int64)
 
 
 @dataclass

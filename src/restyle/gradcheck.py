@@ -1,24 +1,30 @@
-"""Finite-difference verification of every loss against every parameter group.
+"""Finite-difference verification of the training losses against every
+parameter group.
 
-Builds a toy system (vocab 8, hidden 8, 2 sentences), freezes the gumbel
-noise, and checks d(loss)/d(theta) for each named parameter tensor of the
-sequence model against central differences, for each stage-1 and stage-2 loss
-individually and for the combined stage-2 objective.
+Builds a toy system (vocab 8, hidden 8, one two-sentence batch per source
+style), freezes the stage-1 corruption and the gumbel noise, and checks
+d(loss)/d(theta) for each named parameter tensor of the sequence model
+against central differences. The losses are the ones the trainers minimise,
+``stage1_losses`` and ``stage2_losses``: each term and the combined stage-2
+objective, in both transfer directions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from restyle import autodiff as ad
-from restyle.autodiff import constant, finite_difference_check
-from restyle.data import pack_batch
-from restyle.language_model import DirectionalLanguageModel, fluency_loss
-from restyle.lrp import soft_word_relevance
+from restyle.autodiff import finite_difference_check
+from restyle.data import corrupt_batch, pack_batch
+from restyle.language_model import DirectionalLanguageModel
 from restyle.seq2seq import Seq2seqModel, sample_gumbel
 from restyle.textcnn import TextCnnStyleClassifier
-from restyle.training import LambdaTargetCache, LrpConfig, pad_rows_to_width
-
+from restyle.training import (
+    LambdaTargetCache,
+    LrpConfig,
+    Stage2Config,
+    stage1_losses,
+    stage2_losses,
+)
 
 def build_toy_system(seed: int = 0, vocab_size: int = 8, hidden: int = 8):
     rng = np.random.default_rng(seed)
@@ -50,121 +56,62 @@ def build_toy_system(seed: int = 0, vocab_size: int = 8, hidden: int = 8):
                 p.values[0] = 0.0 if p.values.ndim > 1 and p.shape[0] == vocab_size else p.values[0]
             lm.set_trainable(False)
             lms[(style, direction)] = lm
-    batch = pack_batch([[4, 5, 6], [7, 4, 5, 6]], labels=[0, 1])
+    batches = {0: pack_batch([[4, 5, 6], [7, 4, 5, 6]], labels=[0, 0]),
+               1: pack_batch([[6, 5, 7], [5, 7, 4, 6]], labels=[1, 1])}
     lrp_cfg = LrpConfig(eta=1.0, epsilon=0.0)
     cache = LambdaTargetCache(clf, lrp_cfg)
-    return model, clf, lms, batch, cache, lrp_cfg
+    return model, clf, lms, batches, cache, lrp_cfg
 
 
-def stage2_loss_fns(model, clf, lms, batch, cache, lrp_cfg, max_len=5, tau=0.6,
-                    seed=0, alpha=1.0, beta=2.0, gamma=0.5):
-    """Deterministic closures for each loss term; noise drawn once and frozen."""
-    rng = np.random.default_rng(seed)
-    noise = sample_gumbel(rng, (max_len, batch.enc_ids.shape[0], model.vocab_size))
-    target_style = 1 - batch.labels
+def stage1_loss_fns(model, batch, lam_x, corrupted_enc_ids) -> dict:
+    """Closures over ``stage1_losses`` for a fixed batch and corruption."""
+    def term(i):
+        return lambda: stage1_losses(model, batch, lam_x, corrupted_enc_ids)[i]
 
-    def soft():
-        return model.generate_soft(batch.enc_ids, batch.lengths, target_style,
-                                   max_len=max_len, tau=tau, gumbel_noise=noise)
-
-    def l_st():
-        s = soft()
-        rows = pad_rows_to_width(s.stacked_rows(), s.lengths, max(clf.filter_widths))
-        _, logits = clf.classify_soft(rows, s.lengths)
-        return ad.cross_entropy_with_indices(logits, target_style).mean()
-
-    def l_ylambda():
-        s = soft()
-        T = len(s.rows)
-        rows = pad_rows_to_width(s.stacked_rows(), s.lengths, max(clf.filter_widths))
-        wr = soft_word_relevance(clf, rows, s.lengths, target_style,
-                                 lrp_cfg.eta, lrp_cfg.epsilon, lrp_cfg.stabilizer)
-        sq = ad.squared_error(s.stacked_gates(), ad.narrow(wr.lam, 1, 0, T))
-        sq = sq * constant(s.length_mask())
-        return (sq.sum(axis=1) * constant(1.0 / np.maximum(s.lengths, 1))).mean()
-
-    def l_cp():
-        s = soft()
-        T = len(s.rows)
-        B = batch.enc_ids.shape[0]
-        lam_x = cache.get_matrix([r[:l] for r, l in zip(batch.enc_ids.tolist(),
-                                                        batch.lengths)],
-                                 batch.labels, batch.enc_ids.shape[1])
-        x_w = constant(((1.0 - np.abs(lam_x)) * batch.token_mask)[:, :, None])
-        x_content = (model.embed(batch.enc_ids) * x_w).sum(axis=1)
-        gates = s.stacked_gates()
-        y_w = (1.0 - ad.absolute(gates)).reshape(B, T, 1) * constant(
-            s.length_mask()[:, :, None])
-        y_content = (ad.matmul(s.stacked_rows(), model.params["emb"]) * y_w).sum(axis=1)
-        diff = x_content - y_content
-        return (diff * diff).sum(axis=1).mean()
-
-    def l_lm():
-        s = soft()
-        # one direction per sentence target; score each target group separately
-        total = None
-        for ts in (0, 1):
-            idx = np.where(target_style == ts)[0]
-            if len(idx) == 0:
-                continue
-            sub = _subset_soft(s, idx)
-            term = fluency_loss(lms[(ts, "forward")], lms[(ts, "backward")], sub, ts)
-            term = term * (float(len(idx)) / len(target_style))
-            total = term if total is None else total + term
-        return total
-
-    def l_sr():
-        logits, _ = model.teacher_forced_pass(batch)
-        ce = ad.cross_entropy_with_indices(logits, batch.targets, batch.target_mask)
-        return ce.sum(axis=1).mean()
-
-    def l_xlambda():
-        T = batch.enc_ids.shape[1]
-        lam_x = cache.get_matrix([r[:l] for r, l in zip(batch.enc_ids.tolist(),
-                                                        batch.lengths)],
-                                 batch.labels, T)
-        _, gates = model.teacher_forced_pass(batch)
-        sq = ad.squared_error(constant(lam_x), ad.narrow(gates, 1, 0, T))
-        sq = sq * constant(batch.token_mask)
-        return (sq.sum(axis=1) * constant(1.0 / batch.lengths)).mean()
-
-    def l2_combined():
-        return l_st() + alpha * l_ylambda() + beta * l_cp() + gamma * l_lm()
-
-    return {"l_sr": l_sr, "l_xlambda": l_xlambda, "l_st": l_st,
-            "l_ylambda": l_ylambda, "l_cp": l_cp, "l_lm": l_lm,
-            "l2_combined": l2_combined}
+    return {"l_sr": term(0), "l_xlambda": term(1)}
 
 
-def _subset_soft(s, idx):
-    from restyle.seq2seq import SoftSentence
+def stage2_loss_fns(model, clf, lms, batch, lam_x, source_style, tau, noise,
+                    cfg, lrp_cfg) -> dict:
+    """Closures over ``stage2_losses`` for a fixed batch, tau and noise: each
+    term as the trainer logs it, and the total as ``l2_combined``."""
+    def term(name):
+        def fn():
+            _, losses = stage2_losses(model, clf, lms, batch, lam_x, source_style, tau,
+                                      noise, cfg, lrp_cfg)
+            if losses is None:
+                raise ValueError("every toy generation has length 0")
+            return losses[name]
+        return fn
 
-    pick = constant(np.eye(s.rows[0].shape[0])[idx])
-    rows = [ad.matmul(pick, r) for r in s.rows]
-    dists = [ad.matmul(pick, d) for d in s.dists]
-    gates = [(ad.matmul(pick, g.reshape(g.shape[0], 1))).reshape(len(idx))
-             for g in s.gates]
-    return SoftSentence(rows, dists, gates, s.lengths[idx], [])
+    fns = {name: term(name) for name in ("l_st", "l_ylambda", "l_cp", "l_lm")}
+    return {**fns, "l2_combined": term("total")}
 
 
 def run_gradient_suite(seed: int = 0, step: float = 1e-5,
-                       max_coords_per_param: int = 4, losses=None) -> dict:
-    """Returns {loss_name: {param_name: max_rel_error}} plus overall max."""
-    model, clf, lms, batch, cache, lrp_cfg = build_toy_system(seed)
-    fns = stage2_loss_fns(model, clf, lms, batch, cache, lrp_cfg, seed=seed)
-    if losses is not None:
-        fns = {k: v for k, v in fns.items() if k in losses}
+                       max_coords_per_param: int = 4) -> dict:
+    """Returns {loss_name: {"param (source s)": max_rel_error}} plus overall max."""
+    model, clf, lms, batches, cache, lrp_cfg = build_toy_system(seed)
+    cfg = Stage2Config(max_len=5)
+    tau = 0.6
+    frozen = np.random.default_rng(seed)
     results: dict = {}
     worst = 0.0
     rng = np.random.default_rng(seed + 99)
-    for loss_name, fn in fns.items():
-        per_param = {}
-        for pname in sorted(model.params):
-            err = finite_difference_check(fn, [model.params[pname]], step=step,
-                                          max_coords_per_param=max_coords_per_param,
-                                          rng=rng)
-            per_param[pname] = err
-            worst = max(worst, err)
-        results[loss_name] = per_param
+    for source, batch in batches.items():
+        lam_x = cache.batch_matrix(batch)
+        corrupted = corrupt_batch(batch, model.vocab_size, 0.5, frozen)
+        noise = sample_gumbel(frozen, (cfg.max_len, batch.enc_ids.shape[0], model.vocab_size))
+        fns = {**stage1_loss_fns(model, batch, lam_x, corrupted),
+               **stage2_loss_fns(model, clf, lms, batch, lam_x, source, tau, noise, cfg,
+                                 lrp_cfg)}
+        for loss_name, fn in fns.items():
+            per_param = results.setdefault(loss_name, {})
+            for pname in sorted(model.params):
+                err = finite_difference_check(fn, [model.params[pname]], step=step,
+                                              max_coords_per_param=max_coords_per_param,
+                                              rng=rng)
+                per_param[f"{pname} (source {source})"] = err
+                worst = max(worst, err)
     results["max_relative_error"] = worst
     return results

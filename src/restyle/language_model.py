@@ -16,7 +16,7 @@ from restyle import autodiff as ad
 from restyle.autodiff import Tensor, constant, parameter
 from restyle.base import ParamMixin, check_fitted, check_token_sequences
 from restyle.checkpoint import params_hash
-from restyle.data import BOS, EOS, PAD, LabeledCorpus, Batcher, pack_batch
+from restyle.data import BOS, EOS, PAD, LabeledCorpus, Batcher, pack_batch, train_dev_split
 from restyle.seq2seq import GruCell, SoftSentence
 
 logger = logging.getLogger(__name__)
@@ -79,8 +79,8 @@ class DirectionalLanguageModel(ParamMixin):
         return seqs
 
     # ------------------------------------------------------------------
-    def _batch_nll(self, batch) -> Tensor:
-        """Summed next-token NLL per sentence, averaged over the batch."""
+    def _token_nll(self, batch, mask: np.ndarray) -> Tensor:
+        """(B, S) next-token NLL, zero where ``mask`` is."""
         B, S = batch.dec_inputs.shape
         emb = ad.gather_rows(self.params_["emb"], batch.dec_inputs)
         h = constant(np.zeros((B, self.hidden_dim)))
@@ -89,9 +89,7 @@ class DirectionalLanguageModel(ParamMixin):
             h = self.cell_(ad.narrow(emb, 1, j, 1).reshape(B, self.embed_dim), h)
             logits.append((ad.matmul(h, self.params_["out.w"]) + self.params_["out.b"])
                           .reshape(B, 1, self.vocab_size))
-        ce = ad.cross_entropy_with_indices(ad.concat(logits, axis=1), batch.targets,
-                                           batch.target_mask)
-        return ce.sum(axis=1).mean()
+        return ad.cross_entropy_with_indices(ad.concat(logits, axis=1), batch.targets, mask)
 
     def fit(self, X):
         """Train on a single-style list of id sequences."""
@@ -101,7 +99,6 @@ class DirectionalLanguageModel(ParamMixin):
         self._init_params()
         seqs = self._oriented(X)
         corpus = LabeledCorpus(seqs, [0] * len(seqs))
-        from restyle.data import train_dev_split
         train, dev = train_dev_split(corpus, self.dev_fraction, self.seed)
         batcher = Batcher(train, self.batch_size, self.max_len, seed=self.seed + 1)
         opt = ad.make_optimizer(self.optimizer,
@@ -109,7 +106,7 @@ class DirectionalLanguageModel(ParamMixin):
                                 self.learning_rate, self.clip_norm)
         for _ in range(self.epochs):
             for batch in batcher.epoch():
-                loss = self._batch_nll(batch)
+                loss = self._token_nll(batch, batch.target_mask).sum(axis=1).mean()
                 ad.backward(loss)
                 opt.step()
         self.dev_perplexity_ = self.perplexity([s for s in dev.sentences],
@@ -126,20 +123,10 @@ class DirectionalLanguageModel(ParamMixin):
         with ad.no_grad():
             for lo in range(0, len(seqs), 64):
                 batch = pack_batch(seqs[lo:lo + 64])
-                B, S = batch.dec_inputs.shape
                 mask = batch.target_mask
                 if not include_eos:
                     mask = mask * (batch.targets != EOS)
-                emb = ad.gather_rows(self.params_["emb"], batch.dec_inputs)
-                h = constant(np.zeros((B, self.hidden_dim)))
-                nll = 0.0
-                for j in range(S):
-                    h = self.cell_(ad.narrow(emb, 1, j, 1).reshape(B, self.embed_dim), h)
-                    logits = ad.matmul(h, self.params_["out.w"]) + self.params_["out.b"]
-                    ce = ad.cross_entropy_with_indices(logits, batch.targets[:, j],
-                                                       mask[:, j])
-                    nll += float(ce.values.sum())
-                total_nll += nll
+                total_nll += float(self._token_nll(batch, mask).values.sum())
                 total_tokens += int(mask.sum())
         return float(np.exp(total_nll / max(total_tokens, 1)))
 
@@ -153,14 +140,11 @@ class DirectionalLanguageModel(ParamMixin):
 
 def fluency_loss(lm_forward: DirectionalLanguageModel,
                  lm_backward: DirectionalLanguageModel,
-                 soft: SoftSentence, target_style: int,
-                 flip_sign: bool = False) -> Tensor:
+                 soft: SoftSentence, target_style: int) -> Tensor:
     """Average of forward and backward distribution cross-entropies.
 
     Each term is sum_j H(P_model(.|y_<j), P_lm(.|context)), with the language
-    model fed the expected embedding of each prior soft word. ``flip_sign``
-    reverses the sign of the per-step terms (the literal printed form of the
-    objective, which rewards divergence instead of penalizing it).
+    model fed the expected embedding of each prior soft word.
     """
     if lm_forward.style != target_style or lm_backward.style != target_style:
         raise ValueError(
@@ -201,5 +185,4 @@ def fluency_loss(lm_forward: DirectionalLanguageModel,
     rev_dists = [ad.narrow(rev_dists3, 1, j, 1).reshape(B, dists3.shape[2]) for j in range(T)]
     bwd = directional(lm_backward, rev_rows, rev_dists, mask)
 
-    loss = (fwd + bwd) * 0.5
-    return ad.neg(loss) if flip_sign else loss
+    return (fwd + bwd) * 0.5

@@ -34,13 +34,17 @@ class MetricReport:
 
 
 def transfer_accuracy(outputs, target_styles, classifier) -> float:
-    """Percentage of outputs whose predicted class matches the target style."""
+    """Percentage of outputs whose predicted class matches the target style;
+    an empty output counts as a miss."""
     if len(outputs) == 0:
         raise ValueError("transfer_accuracy: empty output list")
     if len(outputs) != len(target_styles):
         raise ValueError("outputs and target_styles must be parallel")
-    pred = classifier.predict(outputs)
-    hits = sum(int(p == t) for p, t in zip(pred, target_styles))
+    scored = [i for i, out in enumerate(outputs) if len(out)]
+    hits = 0
+    if scored:
+        pred = classifier.predict([outputs[i] for i in scored])
+        hits = sum(int(p == target_styles[i]) for p, i in zip(pred, scored))
     return 100.0 * hits / len(outputs)
 
 

@@ -12,10 +12,8 @@ import logging
 
 import numpy as np
 
-from restyle import autodiff as ad
 from restyle.base import ParamMixin, check_binary_labels, check_fitted
 from restyle.data import LabeledCorpus, build_vocab, pack_batch, train_dev_split
-from restyle.language_model import DirectionalLanguageModel
 from restyle.lrp import calibrate_eta
 from restyle.metrics import MetricReport, build_report, corpus_bleu, transfer_accuracy
 from restyle.seq2seq import Seq2seqModel
@@ -24,9 +22,10 @@ from restyle.training import (
     LambdaTargetCache,
     LrpConfig,
     Stage1Config,
-    Stage1Trainer,
     Stage2Config,
     Stage2Trainer,
+    fit_language_models,
+    train_stage1,
 )
 
 logger = logging.getLogger(__name__)
@@ -83,22 +82,12 @@ class StyleTransferPipeline(ParamMixin):
 
         self.model_ = Seq2seqModel(len(self.vocab_), embed_dim=self.embed_dim,
                                    hidden_dim=self.hidden_dim, seed=self.seed + 2)
-        s1 = self.stage1 or Stage1Config()
-        Stage1Trainer(self.model_, self.classifier_, self.lam_cache_, s1,
-                      train, dev_corpus=dev).train()
-        self.stage1_metrics_ = Stage1Trainer(
-            self.model_, self.classifier_, self.lam_cache_, s1, train).evaluate(dev)
+        self.stage1_metrics_ = train_stage1(self.model_, self.classifier_, self.lam_cache_,
+                                            self.stage1 or Stage1Config(), train, dev)
 
         lm_kwargs = dict(vocab_size=len(self.vocab_), max_len=self.max_len)
         lm_kwargs.update(self.lm_params or {})
-        self.lms_ = {}
-        for style in (0, 1):
-            styled = train.by_style(style)
-            for direction in ("forward", "backward"):
-                lm = DirectionalLanguageModel(style=style, direction=direction,
-                                              seed=self.seed + 3 + style, **lm_kwargs)
-                lm.fit(styled.sentences)
-                self.lms_[(style, direction)] = lm
+        self.lms_ = fit_language_models(train, self.seed, **lm_kwargs)
 
         s2 = self.stage2 or Stage2Config()
         Stage2Trainer(self.model_, self.classifier_, self.lms_, self.lam_cache_,
@@ -151,14 +140,7 @@ def evaluate_transfer(model: Seq2seqModel, classifier: TextCnnStyleClassifier,
         for i, o in zip(idx, outs):
             outputs[i] = o
 
-    nonempty = [i for i, o in enumerate(outputs) if o]
-    acc_hits = 0
-    if nonempty:
-        pred = classifier.predict([outputs[i] for i in nonempty])
-        targets = 1 - labels[nonempty]
-        acc_hits = int((pred == targets).sum())
-    acc = 100.0 * acc_hits / len(outputs)
-
+    acc = transfer_accuracy(outputs, 1 - labels, classifier)
     decoded = [vocab.decode(o) if o else "" for o in outputs]
     bleu = corpus_bleu(decoded, references)
     return build_report(acc, bleu, len(outputs)), decoded

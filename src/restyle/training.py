@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from restyle import autodiff as ad
 from restyle.autodiff import constant
-from restyle.data import Batcher, LabeledCorpus, corrupt, pack_batch
+from restyle.base import derive_seed
+from restyle.data import Batcher, LabeledCorpus, corrupt_batch, pack_batch
 from restyle.language_model import DirectionalLanguageModel, fluency_loss
 from restyle.lrp import hard_word_relevance, soft_word_relevance
 from restyle.seq2seq import Seq2seqModel, sample_gumbel
@@ -88,6 +89,8 @@ class Stage1Config:
         if min(self.epochs, self.batch_size) <= 0 or self.learning_rate <= 0 \
                 or self.clip_norm <= 0:
             raise ValueError("stage-1 config values must be positive")
+        if not 0.0 <= self.replace_prob <= 1.0:
+            raise ValueError(f"replace_prob must be in [0,1], got {self.replace_prob}")
 
 
 @dataclass
@@ -104,7 +107,6 @@ class Stage2Config:
     tau_start: float = 0.5
     tau_end: float = 0.1
     gumbel_noise: bool = True
-    lm_loss_sign_flipped: bool = False
     seed: int = 0
     ablation: frozenset = frozenset()
 
@@ -202,9 +204,28 @@ class LambdaTargetCache:
             out[i, :len(lam)] = lam
         return out
 
+    def batch_matrix(self, batch) -> np.ndarray:
+        """Targets of a batch's source sentences, padded to its encoder width."""
+        return self.get_matrix([s[:l] for s, l in zip(batch.enc_ids.tolist(), batch.lengths)],
+                               batch.labels, batch.enc_ids.shape[1])
+
 
 # ---------------------------------------------------------------------------
 # stage 1
+
+
+def stage1_losses(model: Seq2seqModel, batch, lam_x: np.ndarray,
+                  corrupted_enc_ids: np.ndarray | None = None):
+    """Stage-1 terms of one batch: reconstruction cross-entropy ``l_sr`` and the
+    relevance reprediction error ``l_xlambda`` against the (B, T) targets
+    ``lam_x``. The encoder reads ``corrupted_enc_ids`` when given."""
+    logits, gates = model.teacher_forced_pass(batch, corrupted_enc_ids=corrupted_enc_ids)
+    ce = ad.cross_entropy_with_indices(logits, batch.targets, batch.target_mask)
+    l_sr = ce.sum(axis=1).mean()
+    lam_hat = ad.narrow(gates, 1, 0, lam_x.shape[1])
+    sq = ad.squared_error(constant(lam_x), lam_hat) * constant(batch.token_mask)
+    l_xlambda = (sq.sum(axis=1) * constant(1.0 / batch.lengths)).mean()
+    return l_sr, l_xlambda
 
 
 class Stage1Trainer:
@@ -227,42 +248,24 @@ class Stage1Trainer:
                                            cfg.learning_rate, cfg.clip_norm)
         self.step_count = 0
 
-    def _losses(self, batch, replace_prob: float):
-        corrupted = np.array([
-            corrupt(list(row[:l]), self.model.vocab_size, replace_prob, self.rng)
-            + [0] * (batch.enc_ids.shape[1] - l)
-            for row, l in zip(batch.enc_ids, batch.lengths)], dtype=np.int64)
-        logits, gates = self.model.teacher_forced_pass(batch, corrupted_enc_ids=corrupted)
-        ce = ad.cross_entropy_with_indices(logits, batch.targets, batch.target_mask)
-        l_sr = ce.sum(axis=1).mean()
-
-        T = batch.enc_ids.shape[1]
-        lam_x = self.lam_cache.get_matrix([s[:l] for s, l in
-                                           zip(batch.enc_ids.tolist(), batch.lengths)],
-                                          batch.labels, T)
-        lam_hat = ad.narrow(gates, 1, 0, T)
-        sq = ad.squared_error(constant(lam_x), lam_hat) * constant(batch.token_mask)
-        l_xlambda = (sq.sum(axis=1) * constant(1.0 / batch.lengths)).mean()
-        return l_sr, l_xlambda, logits
-
     def step(self, batch) -> LossBreakdown:
-        l_sr, l_xlambda, _ = self._losses(batch, self.cfg.replace_prob)
+        corrupted = corrupt_batch(batch, self.model.vocab_size, self.cfg.replace_prob,
+                                  self.rng)
+        l_sr, l_xlambda = stage1_losses(self.model, batch,
+                                        self.lam_cache.batch_matrix(batch), corrupted)
         if self.cfg.lxlambda_off:
+            l_xlambda = constant(0.0)
             total = l_sr
-            ad.backward(total)
-            br = LossBreakdown(l_sr=l_sr.item(), l_xlambda=0.0, total=total.item())
         else:
             total = l_sr + l_xlambda
-            ad.backward(total)
-            br = LossBreakdown(l_sr=l_sr.item(), l_xlambda=l_xlambda.item(),
-                               total=total.item())
+        ad.backward(total)
+        br = LossBreakdown(l_sr=l_sr.item(), l_xlambda=l_xlambda.item(), total=total.item())
         br.grad_norm_preclip = self.optimizer.step()
         self.step_count += 1
         self.log.record(self.step_count, br)
         return br
 
-    def evaluate(self, corpus: LabeledCorpus, replace_prob: float = 0.0,
-                 batch_size: int = 64) -> dict:
+    def evaluate(self, corpus: LabeledCorpus, batch_size: int = 64) -> dict:
         """Teacher-forced token accuracy and relevance MSE on clean input."""
         correct = tokens = 0
         mse_sum = 0.0
@@ -275,11 +278,8 @@ class Stage1Trainer:
                 pred = logits.values.argmax(axis=2)
                 correct += int(((pred == batch.targets) * batch.target_mask).sum())
                 tokens += int(batch.target_mask.sum())
-                T = batch.enc_ids.shape[1]
-                lam_x = self.lam_cache.get_matrix(
-                    [s[:l] for s, l in zip(batch.enc_ids.tolist(), batch.lengths)],
-                    batch.labels, T)
-                sq = (lam_x - gates.values[:, :T]) ** 2 * batch.token_mask
+                lam_x = self.lam_cache.batch_matrix(batch)
+                sq = (lam_x - gates.values[:, :lam_x.shape[1]]) ** 2 * batch.token_mask
                 mse_sum += float((sq.sum(axis=1) / batch.lengths).sum())
                 n += len(batch.lengths)
         return {"token_accuracy": correct / max(tokens, 1),
@@ -322,6 +322,81 @@ def pad_rows_to_width(rows3, lengths, min_width: int):
         return rows3
     pad = constant(np.zeros((B, min_width - T, V)))
     return ad.concat([rows3, pad], axis=1)
+
+
+def stage2_losses(model: Seq2seqModel, classifier: TextCnnStyleClassifier, lms: dict,
+                  batch, lam_x: np.ndarray, source_style: int, tau: float,
+                  noise: np.ndarray | None, cfg: Stage2Config, lrp_cfg: LrpConfig):
+    """Soft generation of one single-style batch toward the other style, and
+    the stage-2 objective over the generations of nonzero length.
+
+    ``lam_x`` holds the batch's (B, T) relevance targets and ``noise`` the
+    (max_len, B, V) gumbel noise, or None. Returns ``(soft, losses)``, where
+    ``losses`` maps l_st, l_ylambda, l_cp, l_lm and total to scalar tensors,
+    or is None when every generation has length 0. A term its weight or an
+    ablation flag switches off is the constant 0.
+    """
+    gate_override = 1.0 if "gate_off" in cfg.ablation else None
+    alpha = 0.0 if "lylambda_off" in cfg.ablation else cfg.alpha
+    gamma = 0.0 if "llm_off" in cfg.ablation else cfg.gamma
+    lcp_prime = "lcp_prime" in cfg.ablation
+
+    target_style = 1 - source_style
+    B = batch.enc_ids.shape[0]
+    soft = model.generate_soft(batch.enc_ids, batch.lengths, target_style,
+                               max_len=cfg.max_len, tau=tau, gumbel_noise=noise,
+                               gate_override=gate_override)
+    valid = soft.lengths > 0
+    if not valid.any():
+        return soft, None
+    n_valid = int(valid.sum())
+    vmask = constant(valid.astype(float))
+    T = len(soft.rows)
+    rows3 = soft.stacked_rows()
+    gates = soft.stacked_gates()
+    rmask = soft.length_mask()
+
+    # transfer loss through the frozen classifier
+    rows_clf = pad_rows_to_width(rows3, soft.lengths, max(classifier.filter_widths))
+    _, logits = classifier.classify_soft(rows_clf, soft.lengths)
+    ce = ad.cross_entropy_with_indices(logits, np.full(B, target_style, dtype=np.int64))
+    l_st = (ce * vmask).sum() * (1.0 / n_valid)
+
+    # soft-word relevance consistency
+    if alpha > 0:
+        wr = soft_word_relevance(classifier, rows_clf, soft.lengths, target_style,
+                                 lrp_cfg.eta, lrp_cfg.epsilon, lrp_cfg.stabilizer)
+        lam_hat = ad.narrow(wr.lam, 1, 0, T)
+        sq = ad.squared_error(gates, lam_hat) * constant(rmask)
+        per_sentence = sq.sum(axis=1) * constant(1.0 / np.maximum(soft.lengths, 1))
+        l_ylambda = (per_sentence * vmask).sum() * (1.0 / n_valid)
+    else:
+        l_ylambda = constant(0.0)
+
+    # relevance-weighted content anchor
+    x_emb = model.embed(batch.enc_ids)
+    if lcp_prime:
+        x_w = constant(batch.token_mask[:, :, None])
+        y_w = constant(rmask[:, :, None])
+    else:
+        x_w = constant(((1.0 - np.abs(lam_x)) * batch.token_mask)[:, :, None])
+        y_w = (1.0 - ad.absolute(gates)).reshape(B, T, 1) * constant(rmask[:, :, None])
+    x_content = (x_emb * x_w).sum(axis=1)
+    y_emb = ad.matmul(rows3, model.params["emb"])
+    y_content = (y_emb * y_w).sum(axis=1)
+    diff = x_content - y_content
+    l_cp = ((diff * diff).sum(axis=1) * vmask).sum() * (1.0 / n_valid)
+
+    # fluency against the frozen directional models
+    if gamma > 0:
+        l_lm = fluency_loss(lms[(target_style, "forward")], lms[(target_style, "backward")],
+                            soft, target_style)
+    else:
+        l_lm = constant(0.0)
+
+    total = l_st + alpha * l_ylambda + cfg.beta * l_cp + gamma * l_lm
+    return soft, {"l_st": l_st, "l_ylambda": l_ylambda, "l_cp": l_cp, "l_lm": l_lm,
+                  "total": total}
 
 
 class Stage2Trainer:
@@ -368,81 +443,19 @@ class Stage2Trainer:
     def step(self, batch, source_style: int, tau: float | None = None) -> LossBreakdown:
         cfg = self.cfg
         tau = cfg.tau_start if tau is None else tau
-        target_style = 1 - source_style
-        B = batch.enc_ids.shape[0]
         noise = None
         if cfg.gumbel_noise:
-            noise = sample_gumbel(self.rng, (cfg.max_len, B, self.model.vocab_size))
-        gate_override = 1.0 if "gate_off" in cfg.ablation else None
-        soft = self.model.generate_soft(batch.enc_ids, batch.lengths, target_style,
-                                        max_len=cfg.max_len, tau=tau,
-                                        gumbel_noise=noise, gate_override=gate_override)
-        valid = soft.lengths > 0
-        self.skipped_sentences += int((~valid).sum())
-        if not valid.any():
-            br = LossBreakdown()
-            self.step_count += 1
-            self.log.record(self.step_count, br)
-            return br
-        n_valid = int(valid.sum())
-        vmask = constant(valid.astype(float))
-        T = len(soft.rows)
-        rows3 = soft.stacked_rows()
-        gates = soft.stacked_gates()
-        rmask = soft.length_mask()
-
-        # transfer loss through the frozen classifier
-        rows_clf = pad_rows_to_width(rows3, soft.lengths, max(self.classifier.filter_widths))
-        _, logits = self.classifier.classify_soft(rows_clf, soft.lengths)
-        ce = ad.cross_entropy_with_indices(
-            logits, np.full(B, target_style, dtype=np.int64))
-        l_st = (ce * vmask).sum() * (1.0 / n_valid)
-
-        # soft-word relevance consistency
-        if cfg.alpha > 0 and "lylambda_off" not in cfg.ablation:
-            wr = soft_word_relevance(self.classifier, rows_clf, soft.lengths,
-                                     target_style, self.lrp_cfg.eta,
-                                     self.lrp_cfg.epsilon, self.lrp_cfg.stabilizer)
-            lam_hat = ad.narrow(wr.lam, 1, 0, T)
-            sq = ad.squared_error(gates, lam_hat) * constant(rmask)
-            per_sentence = sq.sum(axis=1) * constant(1.0 / np.maximum(soft.lengths, 1))
-            l_ylambda = (per_sentence * vmask).sum() * (1.0 / n_valid)
-        else:
-            l_ylambda = constant(0.0)
-
-        # relevance-weighted content anchor
-        lam_x = self.lam_cache.get_matrix(
-            [s[:l] for s, l in zip(batch.enc_ids.tolist(), batch.lengths)],
-            batch.labels, batch.enc_ids.shape[1])
-        x_emb = self.model.embed(batch.enc_ids)
-        if "lcp_prime" in cfg.ablation:
-            x_w = constant(batch.token_mask[:, :, None])
-            y_w = constant(rmask[:, :, None])
-        else:
-            x_w = constant(((1.0 - np.abs(lam_x)) * batch.token_mask)[:, :, None])
-            y_w = (1.0 - ad.absolute(gates)).reshape(B, T, 1) * constant(rmask[:, :, None])
-        x_content = (x_emb * x_w).sum(axis=1)
-        y_emb = ad.matmul(rows3, self.model.params["emb"])
-        y_content = (y_emb * y_w).sum(axis=1)
-        diff = x_content - y_content
-        l_cp = ((diff * diff).sum(axis=1) * vmask).sum() * (1.0 / n_valid)
-
-        # fluency against the frozen directional models
-        if cfg.gamma > 0 and "llm_off" not in cfg.ablation:
-            l_lm = fluency_loss(self.lms[(target_style, "forward")],
-                                self.lms[(target_style, "backward")],
-                                soft, target_style,
-                                flip_sign=cfg.lm_loss_sign_flipped)
-        else:
-            l_lm = constant(0.0)
-
-        alpha = 0.0 if "lylambda_off" in cfg.ablation else cfg.alpha
-        gamma = 0.0 if "llm_off" in cfg.ablation else cfg.gamma
-        total = l_st + alpha * l_ylambda + cfg.beta * l_cp + gamma * l_lm
-        ad.backward(total)
-        br = LossBreakdown(l_st=l_st.item(), l_ylambda=l_ylambda.item(),
-                           l_cp=l_cp.item(), l_lm=l_lm.item(), total=total.item())
-        br.grad_norm_preclip = self.optimizer.step()
+            noise = sample_gumbel(self.rng, (cfg.max_len, batch.enc_ids.shape[0],
+                                             self.model.vocab_size))
+        soft, losses = stage2_losses(self.model, self.classifier, self.lms, batch,
+                                     self.lam_cache.batch_matrix(batch), source_style,
+                                     tau, noise, cfg, self.lrp_cfg)
+        self.skipped_sentences += int((soft.lengths == 0).sum())
+        br = LossBreakdown()
+        if losses is not None:
+            ad.backward(losses["total"])
+            br = LossBreakdown(**{k: v.item() for k, v in losses.items()})
+            br.grad_norm_preclip = self.optimizer.step()
         self.step_count += 1
         self.log.record(self.step_count, br)
         return br
@@ -470,6 +483,36 @@ class Stage2Trainer:
                             return {"steps": self.step_count}
                 turn = 1 - turn
         return {"steps": self.step_count}
+
+
+# ---------------------------------------------------------------------------
+# stages shared by StyleTransferPipeline.fit and the train-* subcommands
+
+
+def train_stage1(model: Seq2seqModel, classifier: TextCnnStyleClassifier,
+                 lam_cache: LambdaTargetCache, cfg: Stage1Config, train: LabeledCorpus,
+                 dev: LabeledCorpus | None = None, log: TrainLog | None = None) -> dict:
+    """Precompute the relevance targets, train stage 1 and return its
+    evaluation on ``dev`` (``train`` when there is none)."""
+    lam_cache.precompute(train)
+    trainer = Stage1Trainer(model, classifier, lam_cache, cfg, train, dev_corpus=dev, log=log)
+    trainer.train()
+    return trainer.evaluate(dev if dev is not None else train)
+
+
+def fit_language_models(train: LabeledCorpus, root_seed: int, styles=(0, 1),
+                        directions=("forward", "backward"), **lm_kwargs) -> dict:
+    """One directional LM per (style, direction), fit on that style's training
+    sentences and seeded by ``derive_seed(root_seed, "lm.{style}.{direction}")``."""
+    lms = {}
+    for style in styles:
+        styled = train.by_style(style)
+        for direction in directions:
+            lm = DirectionalLanguageModel(
+                style=style, direction=direction,
+                seed=derive_seed(root_seed, f"lm.{style}.{direction}"), **lm_kwargs)
+            lms[(style, direction)] = lm.fit(styled.sentences)
+    return lms
 
 
 def grads_all_zero(params: dict) -> bool:

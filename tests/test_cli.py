@@ -291,6 +291,45 @@ class TestPipelineCommands:
         assert manifest["root_seed"] == 11
         assert "stage1" in manifest["seeds"]
 
+    def test_13_interrupted_writes_keep_previous_files(self, cli_env, capsys, tmp_path,
+                                                       monkeypatch):
+        import os
+
+        run_dir = Path(cli_env["run_dir"])
+        work = tmp_path / "run"
+        work.mkdir()
+        kept = ["vocab.txt", "classifier.ckpt", "stage2.ckpt"]
+        for name in kept:
+            (work / name).write_bytes((run_dir / name).read_bytes())
+        corpus_dir = cli_env["corpus_dir"]
+        refs = ",".join(str(corpus_dir / f"test.style0.ref{r}.txt") for r in range(4))
+        dev = cli_env["corpus"].dev_sentences
+        src = tmp_path / "in.txt"
+        commands = {
+            "outputs.txt": ["transfer", "--input", str(src)],
+            "metrics.json": ["evaluate", "--outputs", str(corpus_dir / "test.style0.input.txt"),
+                             "--refs", refs],
+            "relevance.jsonl": ["lrp-inspect", "--input", str(src)],
+        }
+
+        def crash(src, dst):
+            raise OSError("simulated crash before rename")
+
+        for name, argv in commands.items():
+            common = ["--config", cli_env["config"], "--run-dir", str(work), *argv]
+            src.write_text("".join(line + "\n" for line in dev[:3]))
+            assert main([*common, "--target-style", "1"]) == 0
+            before = (work / name).read_text()
+            # another input and target style, so a completed write would differ
+            src.write_text("".join(line + "\n" for line in dev[3:6]))
+            monkeypatch.setattr(os, "replace", crash)
+            with pytest.raises(OSError, match="before rename"):
+                main([*common, "--target-style", "0"])
+            monkeypatch.undo()
+            assert (work / name).read_text() == before, name
+        capsys.readouterr()
+        assert sorted(p.name for p in work.iterdir()) == sorted(kept + list(commands))
+
     def test_12_unknown_variant_rejected(self, cli_env, capsys):
         rc = run_cli(cli_env, "ablate", "--variant", "bogus")
         captured = capsys.readouterr()

@@ -60,6 +60,12 @@ filter_widths = 2, 3
         cfg = load_config(write_cfg(tmp_path, "[stage2]\nablation = nsc-lambda\n"))
         assert cfg.stage2.ablation == frozenset({"gate_off"})
 
+    def test_replace_prob_validated(self):
+        for prob in ("1.5", "-0.1"):
+            with pytest.raises(ValueError, match="replace_prob"):
+                load_config(None, {"stage1.replace_prob": prob})
+        assert load_config(None, {"stage1.replace_prob": "1"}).stage1.replace_prob == 1.0
+
     def test_negative_weight_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nonnegative"):
             load_config(write_cfg(tmp_path, "[stage2]\nalpha = -1\n"))

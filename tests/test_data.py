@@ -8,7 +8,6 @@ from restyle.data import (
     UNK,
     N_RESERVED,
     Batcher,
-    CorruptionConfig,
     LabeledCorpus,
     Vocabulary,
     build_vocab,
@@ -107,10 +106,6 @@ class TestCorrupt:
             changed += sum(a != b for a, b in zip(ids, out))
         mean = changed / n
         assert 2.7 <= mean <= 3.3
-
-    def test_config_validates_prob(self):
-        with pytest.raises(ValueError, match="replace_prob"):
-            CorruptionConfig(replace_prob=1.5)
 
 
 class TestBatching:

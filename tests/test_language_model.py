@@ -111,16 +111,6 @@ class TestFluencyLoss:
         with pytest.raises(ValueError, match="style mismatch"):
             fluency_loss(fwd, bwd, soft, target_style=1)
 
-    def test_sign_flip_flag(self):
-        V = 6
-        fwd = zero_weight_lm(V, style=1, direction="forward")
-        bwd = zero_weight_lm(V, style=1, direction="backward")
-        uniform = np.full((1, V), 1.0 / V)
-        soft = make_soft([uniform], [uniform], [1])
-        a = fluency_loss(fwd, bwd, soft, 1).item()
-        b = fluency_loss(fwd, bwd, soft, 1, flip_sign=True).item()
-        assert a == pytest.approx(-b)
-
     def test_gradient_flows_to_rows_not_to_lm(self):
         rng = np.random.default_rng(0)
         V, T, B = 8, 3, 2

@@ -79,6 +79,14 @@ class TestTransferAccuracy:
         with pytest.raises(ValueError, match="empty"):
             transfer_accuracy([], [], self.FakeClassifier())
 
+    def test_empty_outputs_count_as_misses(self, small_classifier, encoded_dev):
+        sents = encoded_dev.sentences[:3]
+        pred = small_classifier.predict(sents).tolist()
+        outputs = [sents[0], [], sents[1], [], sents[2]]
+        targets = [pred[0], pred[0], pred[1], pred[1], 1 - pred[2]]
+        assert transfer_accuracy(outputs, targets, small_classifier) == pytest.approx(40.0)
+        assert transfer_accuracy([[], []], [0, 1], small_classifier) == 0.0
+
 
 class TestAggregates:
     def test_paper_scale_math(self):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from restyle import autodiff as ad
+from restyle import training
 from restyle.autodiff import backward, constant
-from restyle.data import LabeledCorpus, pack_batch
+from restyle.data import EOS, LabeledCorpus, corrupt_batch, pack_batch
+from restyle.gradcheck import stage1_loss_fns, stage2_loss_fns
 from restyle.language_model import DirectionalLanguageModel
-from restyle.seq2seq import Seq2seqModel
+from restyle.seq2seq import Seq2seqModel, sample_gumbel
 from restyle.training import (
     LambdaTargetCache,
     LossBreakdown,
@@ -17,6 +19,7 @@ from restyle.training import (
     TrainLog,
     grads_all_zero,
     resolve_ablation,
+    stage1_losses,
 )
 
 
@@ -78,10 +81,8 @@ class TestStage1:
     def test_theta_lambda_gradient_flows_only_through_relevance_loss(
             self, vocab, small_classifier, lam_cache, encoded_train):
         model = make_model(vocab)
-        cfg = Stage1Config(epochs=1, batch_size=4, seed=0)
-        trainer = Stage1Trainer(model, small_classifier, lam_cache, cfg, encoded_train)
         batch = pack_batch(encoded_train.sentences[:4], encoded_train.labels[:4])
-        l_sr, l_xlambda, _ = trainer._losses(batch, replace_prob=0.0)
+        l_sr, l_xlambda = stage1_losses(model, batch, lam_cache.batch_matrix(batch))
 
         backward(l_sr)
         head = {k: p for k, p in model.params.items() if k.startswith("head.")}
@@ -201,6 +202,49 @@ class TestStage2:
                     for r in trainer.log.rows]
 
         assert run() == run()
+
+
+class TestGradcheckRunsTheTrainedLosses:
+    """The gradient suite's closures evaluate the trainers' own loss functions:
+    on the same batch, corruption, noise and tau their values are the ones a
+    training step logs, bit for bit."""
+
+    def test_stage1_terms_equal_logged_breakdown(self, vocab, small_classifier, lam_cache,
+                                                 encoded_train):
+        model = make_model(vocab)
+        cfg = Stage1Config(epochs=1, batch_size=4, replace_prob=0.5, seed=3)
+        trainer = Stage1Trainer(model, small_classifier, lam_cache, cfg, encoded_train)
+        batch = pack_batch(encoded_train.sentences[:4], encoded_train.labels[:4])
+        # the trainer's first draw from its generator corrupts this batch
+        corrupted = corrupt_batch(batch, model.vocab_size, cfg.replace_prob,
+                                  np.random.default_rng(cfg.seed))
+        fns = stage1_loss_fns(model, batch, lam_cache.batch_matrix(batch), corrupted)
+        expected = {name: fn().item() for name, fn in fns.items()}
+        br = trainer.step(batch)
+        assert (br.l_sr, br.l_xlambda) == (expected["l_sr"], expected["l_xlambda"])
+        assert br.total == expected["l_sr"] + expected["l_xlambda"]
+
+    def test_stage2_terms_equal_logged_breakdown_with_a_zero_length_row(
+            self, vocab, small_classifier, lam_cache, encoded_train, monkeypatch):
+        cfg = Stage2Config(optimizer="sgd", learning_rate=1e-3, clip_norm=1.0,
+                           batch_size=4, max_len=10, seed=0)
+        trainer, model = stage2_trainer(vocab, small_classifier, lam_cache, encoded_train,
+                                        cfg)
+        batch = trainer.batchers[1].make_batch(np.arange(4))
+        noise = sample_gumbel(np.random.default_rng(5), (cfg.max_len, 4, model.vocab_size))
+        noise[0, 2, EOS] = 1e3   # row 2 emits EOS first: a generation of length 0
+        tau = 0.3
+        fns = stage2_loss_fns(model, small_classifier, trainer.lms, batch,
+                              lam_cache.batch_matrix(batch), 1, tau, noise, cfg,
+                              trainer.lrp_cfg)
+        expected = {name: fn().item() for name, fn in fns.items()}
+
+        monkeypatch.setattr(training, "sample_gumbel", lambda rng, shape: noise)
+        br = trainer.step(batch, source_style=1, tau=tau)
+        assert trainer.skipped_sentences == 1
+        assert (br.l_st, br.l_ylambda, br.l_cp, br.l_lm, br.total) == (
+            expected["l_st"], expected["l_ylambda"], expected["l_cp"], expected["l_lm"],
+            expected["l2_combined"])
 
 
 class TestTrainLog:

@@ -1,0 +1,159 @@
+"""Check that two source checkouts train the same numbers from one start.
+
+    python3 tools/equivalence.py --parent ../restyle-parent --change . \
+        --seeds 101 1345047681 --steps 8 --out EQUIV.json
+
+For each seed the parent checkout builds the ``pretrain`` workload's models
+(classifier, eta, relevance targets, stage-1 model, four LMs) and an untrained
+sequence model, and pickles them. Each checkout then loads that same start in
+its own process, with its own ``src/`` and ``perfbench/`` on the path, and
+records:
+
+* ``stage1``: the loss totals of ``--steps`` steps of ``Stage1Trainer`` on the
+  untrained model at the ``Stage1Config`` defaults (SGD, corruption 0.15) with
+  a fixed seed, and the model's final ``params_hash``;
+* ``stage2``: the loss totals of ``--steps`` steps of ``Stage2Trainer`` on the
+  stage-1 model at the ``finetune`` workload's settings (Adam), and the
+  model's final ``params_hash``;
+* ``lm``: the dev perplexity of each pickled LM; and of each LM fit again with
+  its workload settings and seed, with the refit weights' hash.
+
+The result holds, per seed, both records and whether the loss totals and
+hashes are identical, with the largest relative perplexity gap.
+``tools/paired_bench.py summary --equivalence`` includes it in a BENCH file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+STAGE1_SEED = 7
+
+
+def _import_from(checkout: Path):
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import workloads
+
+    return workloads
+
+
+def worker_start(checkout: Path, seed: int, out: Path) -> None:
+    workloads = _import_from(checkout)
+    from restyle.seq2seq import Seq2seqModel
+
+    corpus = workloads.make_corpus(workloads.DEFAULT, seed)
+    models = workloads.pretrain(corpus, workloads.DEFAULT, seed)
+    fresh = Seq2seqModel(len(corpus.vocab), seed=workloads.sub_seed(seed, 3))
+    out.write_bytes(pickle.dumps((models, fresh)))
+
+
+def worker_record(checkout: Path, seed: int, start: Path, steps: int, out: Path) -> None:
+    workloads = _import_from(checkout)
+    from restyle import data, training
+    from restyle.checkpoint import params_hash
+    from restyle.language_model import DirectionalLanguageModel
+
+    corpus = workloads.make_corpus(workloads.DEFAULT, seed)
+    models, fresh = pickle.loads(start.read_bytes())
+    record = {}
+
+    cfg = training.Stage1Config(max_len=workloads.MAX_LEN, seed=STAGE1_SEED)
+    trainer = training.Stage1Trainer(fresh, models.clf, models.cache, cfg, corpus.train)
+    batcher = data.Batcher(corpus.train, cfg.batch_size, cfg.max_len, seed=STAGE1_SEED)
+    batches = itertools.chain.from_iterable(batcher.epoch() for _ in itertools.count())
+    for _ in range(steps):
+        trainer.step(next(batches))
+    record["stage1"] = {"loss_totals": [row["total"] for row in trainer.log.rows],
+                        "params_hash": params_hash(fresh.params)}
+
+    record["lm"] = {}
+    for (style, direction), lm in models.lms.items():
+        dev = corpus.dev.by_style(style).sentences
+        refit = DirectionalLanguageModel(vocab_size=len(corpus.vocab), style=style,
+                                         direction=direction, epochs=workloads.DEFAULT.lm_epochs,
+                                         max_len=workloads.MAX_LEN, seed=lm.seed)
+        refit.fit(corpus.train.by_style(style).sentences)
+        record["lm"][f"{style}.{direction}"] = {
+            "dev_perplexity": lm.perplexity(dev),
+            "refit_dev_perplexity": refit.perplexity(dev),
+            "refit_held_out_perplexity": refit.dev_perplexity_,
+            "refit_weights_hash": refit.weights_hash()}
+
+    trainer = workloads.stage2_trainer(models, corpus, seed, workloads.FINETUNE_MAX_LEN)
+    trainer.train(max_steps=steps)
+    record["stage2"] = {"loss_totals": [row["total"] for row in trainer.log.rows],
+                        "params_hash": params_hash(models.model.params)}
+    out.write_text(json.dumps(record))
+
+
+def _run(*argv) -> None:
+    # one BLAS thread, as in perfbench/run.py
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, __file__, *map(str, argv)], check=True, env=env)
+
+
+def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dict:
+    start = tmp / "start.pkl"
+    _run("--worker", "start", "--checkout", parent, "--seed", seed, "--out", start)
+    rec = {}
+    for tag, checkout in (("parent", parent), ("change", change)):
+        out = tmp / f"record-{tag}.json"
+        _run("--worker", "record", "--checkout", checkout, "--seed", seed, "--start", start,
+             "--steps", steps, "--out", out)
+        rec[tag] = json.loads(out.read_text())
+    p, c = rec["parent"], rec["change"]
+    ppl_gap = max(abs(p["lm"][k][f] - c["lm"][k][f]) / p["lm"][k][f]
+                  for k in p["lm"]
+                  for f in ("dev_perplexity", "refit_dev_perplexity", "refit_held_out_perplexity"))
+    return {
+        "seed": seed,
+        "steps": steps,
+        "stage1_identical": p["stage1"] == c["stage1"],
+        "stage2_identical": p["stage2"] == c["stage2"],
+        "lm_refit_weights_identical": all(p["lm"][k]["refit_weights_hash"]
+                                          == c["lm"][k]["refit_weights_hash"] for k in p["lm"]),
+        "lm_max_relative_perplexity_gap": ppl_gap,
+        **rec,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path)
+    ap.add_argument("--change", type=Path)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[101])
+    ap.add_argument("--steps", type=int, default=8)
+    ap.add_argument("--out", type=Path)
+    # internal: one checkout's side of a comparison
+    ap.add_argument("--worker", choices=["start", "record"])
+    ap.add_argument("--checkout", type=Path)
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--start", type=Path)
+    args = ap.parse_args(argv)
+
+    if args.worker == "start":
+        worker_start(args.checkout.resolve(), args.seed, args.out)
+    elif args.worker == "record":
+        worker_record(args.checkout.resolve(), args.seed, args.start, args.steps, args.out)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            results = [compare(args.parent.resolve(), args.change.resolve(), seed, args.steps,
+                               Path(tmp)) for seed in args.seeds]
+        text = json.dumps(results, indent=1)
+        if args.out:
+            args.out.write_text(text + "\n")
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

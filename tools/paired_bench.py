@@ -23,7 +23,7 @@ every run of the change reads below (above) every run of the parent; else
 in ``BENCHMARK.json``; else ``lower`` or ``higher`` when the change wins (or
 loses) at least nine pairs in ten and its median moves by more than the
 parent's quartile range; else ``no demonstrated change``; traced runs are listed per layer metric, and
-``--equivalence`` includes a ``tools/zrule_equivalence.py`` result.
+``--equivalence`` includes a ``tools/equivalence.py`` result.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def main(argv=None) -> int:
     s.add_argument("--log", type=Path, required=True)
     s.add_argument("--out", type=Path, required=True)
     s.add_argument("--equivalence", type=Path,
-                   help="tools/zrule_equivalence.py output to include")
+                   help="tools/equivalence.py output to include")
     args = ap.parse_args(argv)
     {"run": cmd_run, "summary": cmd_summary}[args.command](args)
     return 0
