@@ -23,21 +23,24 @@ from restyle.checkpoint import (
     save_checkpoint,
 )
 from restyle.config import ExperimentConfig, load_config
-from restyle.data import LabeledCorpus, Vocabulary, build_vocab, load_style_files, pack_batch, read_sentences
+from restyle.data import LabeledCorpus, Vocabulary, build_vocab, pack_batch, read_sentences
 from restyle.language_model import DirectionalLanguageModel
-from restyle.lrp import calibrate_eta, hard_word_relevance
+from restyle.lrp import hard_word_relevance
 from restyle.metrics import build_report, corpus_bleu, transfer_accuracy
-from restyle.pipeline import evaluate_transfer, transfer_sentences
+from restyle.pipeline import (
+    encode_corpus,
+    evaluate_transfer,
+    maybe_lower,
+    resolve_eta,
+    train_classifier,
+    train_language_models,
+    train_stage1,
+    train_stage2,
+    transfer_sentences,
+)
 from restyle.seq2seq import Seq2seqModel
 from restyle.textcnn import TextCnnStyleClassifier
-from restyle.training import (
-    LambdaTargetCache,
-    Stage2Trainer,
-    TrainLog,
-    fit_language_models,
-    resolve_ablation,
-    train_stage1,
-)
+from restyle.training import TrainLog, resolve_ablation
 
 EXIT_USAGE = 2
 EXIT_MISSING_DEPENDENCY = 3
@@ -110,31 +113,25 @@ def load_or_build_vocab(run_dir: Path, cfg: ExperimentConfig) -> Vocabulary:
         if not path:
             raise CliError("data.train_style0/1 must be set to build a vocabulary")
         require(Path(path), "training corpus")
-        sentences.extend(_maybe_lower(read_sentences(path), cfg))
-    vocab = build_vocab(sentences, min_freq=cfg.data.min_freq)
+        sentences.extend(read_sentences(path))
+    vocab = build_vocab(maybe_lower(sentences, cfg), min_freq=cfg.data.min_freq)
     vocab.save(vpath)
     return vocab
 
 
-def _maybe_lower(sentences, cfg):
-    return [s.lower() for s in sentences] if cfg.data.lowercase else sentences
-
-
 def load_split(cfg: ExperimentConfig, vocab: Vocabulary, split: str) -> LabeledCorpus:
-    p0 = getattr(cfg.data, f"{split}_style0")
-    p1 = getattr(cfg.data, f"{split}_style1")
-    if not p0 or not p1:
-        raise CliError(f"data.{split}_style0/1 must be set")
-    require(Path(p0), f"{split} corpus")
-    require(Path(p1), f"{split} corpus")
-    if cfg.data.lowercase:
-        sentences, labels = [], []
-        for style, p in ((0, p0), (1, p1)):
-            for line in read_sentences(p):
-                sentences.append(vocab.encode(line.lower()))
-                labels.append(style)
-        return LabeledCorpus(sentences, labels)
-    return load_style_files(p0, p1, vocab)
+    """The split's style-0 then style-1 sentences, each file nonempty."""
+    sentences, labels = [], []
+    for style in (0, 1):
+        path = getattr(cfg.data, f"{split}_style{style}")
+        if not path:
+            raise CliError(f"data.{split}_style{style} must be set")
+        lines = read_sentences(require(Path(path), f"{split} corpus"))
+        if not lines:
+            raise CliError(f"{split} corpus {path} (style {style}) has no sentences")
+        sentences.extend(lines)
+        labels.extend([style] * len(lines))
+    return encode_corpus(cfg, vocab, sentences, labels)
 
 
 def corpus_file_hashes(cfg: ExperimentConfig, split: str) -> dict:
@@ -196,13 +193,15 @@ def load_lm(path: Path, vocab: Vocabulary) -> DirectionalLanguageModel:
 
 
 def save_seq2seq(path: Path, model: Seq2seqModel, vocab: Vocabulary, stage: int,
-                 cfg: ExperimentConfig, eta: float, epsilon: float) -> None:
+                 cfg: ExperimentConfig, eta: float) -> None:
     header = {"kind": "seq2seq", "stage": stage, "vocab_hash": vocab.content_hash(),
               "embed_dim": model.embed_dim, "hidden_dim": model.hidden_dim,
               "attn_dim": model.attn_dim, "head_dim": model.head_dim,
               "style_dim": model.style_dim, "mlp_dim": model.mlp_dim,
-              "eta": eta, "epsilon": epsilon,
+              "eta": eta, "epsilon": cfg.lrp.epsilon,
               "config_hash": config_hash(cfg.to_dict()), "seed": model.seed}
+    if stage == 1:
+        header["lxlambda_off"] = cfg.stage1.lxlambda_off
     save_checkpoint(path, model.params, header)
 
 
@@ -236,14 +235,6 @@ def run_eta(run_dir: Path):
     return None
 
 
-def resolve_eta(cfg: ExperimentConfig, clf, corpus) -> float:
-    if cfg.lrp.eta == "auto":
-        return calibrate_eta(clf, corpus.sentences, corpus.labels,
-                             target_lambda=cfg.lrp.eta_target,
-                             seed=cfg.seed_for("eta"))
-    return float(cfg.lrp.eta)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -252,27 +243,13 @@ def cmd_train_classifier(args, cfg: ExperimentConfig) -> int:
     run_dir = Path(args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     vocab = load_or_build_vocab(run_dir, cfg)
-    train = load_split(cfg, vocab, "train")
-    seed = cfg.seed_for("classifier")
-    clf = TextCnnStyleClassifier(vocab_size=len(vocab),
-                                 embed_dim=cfg.classifier.embed_dim,
-                                 num_filters=cfg.classifier.num_filters,
-                                 filter_widths=cfg.classifier.filter_widths,
-                                 epochs=cfg.classifier.epochs,
-                                 learning_rate=cfg.classifier.learning_rate,
-                                 clip_norm=cfg.classifier.clip_norm,
-                                 batch_size=cfg.classifier.batch_size,
-                                 optimizer=cfg.classifier.optimizer,
-                                 label_smoothing=cfg.classifier.label_smoothing,
-                                 word_dropout=cfg.classifier.word_dropout,
-                                 seed=seed)
-    clf.fit(train.sentences, train.labels)
+    clf = train_classifier(cfg, len(vocab), load_split(cfg, vocab, "train"))
     save_classifier(run_dir / "classifier.ckpt", clf, vocab, cfg)
     update_manifest(run_dir, cfg, {
         "artifacts": {"classifier.ckpt": file_hash(run_dir / "classifier.ckpt"),
                       "vocab.txt": file_hash(run_dir / "vocab.txt")},
         "corpus_hashes": corpus_file_hashes(cfg, "train"),
-        "seeds": {"classifier": seed},
+        "seeds": {"classifier": clf.seed},
         "classifier_dev_accuracy": clf.dev_accuracy_,
     })
     print(f"classifier trained: held-out accuracy {clf.dev_accuracy_:.4f}")
@@ -286,12 +263,7 @@ def cmd_train_lm(args, cfg: ExperimentConfig) -> int:
     train = load_split(cfg, vocab, "train")
     styles = [args.style] if args.style is not None else [0, 1]
     directions = [args.direction] if args.direction else ["forward", "backward"]
-    lms = fit_language_models(train, cfg.root_seed, styles, directions,
-                              vocab_size=len(vocab), embed_dim=cfg.lm.embed_dim,
-                              hidden_dim=cfg.lm.hidden_dim, epochs=cfg.lm.epochs,
-                              learning_rate=cfg.lm.learning_rate,
-                              clip_norm=cfg.lm.clip_norm, batch_size=cfg.lm.batch_size,
-                              max_len=cfg.data.max_len, optimizer=cfg.lm.optimizer)
+    lms = train_language_models(cfg, len(vocab), train, styles, directions)
     updates = {"artifacts": {}, "seeds": {}}
     for (style, direction), lm in lms.items():
         name = f"lm.{style}.{direction}.ckpt"
@@ -311,18 +283,10 @@ def cmd_train_stage1(args, cfg: ExperimentConfig) -> int:
     clf = load_classifier(run_dir / "classifier.ckpt", vocab)
     train = load_split(cfg, vocab, "train")
     dev = load_split(cfg, vocab, "dev") if cfg.data.dev_style0 else None
-    eta = resolve_eta(cfg, clf, train)
-    lrp_cfg = cfg.lrp_config(calibrated_eta=eta)
-    cache = LambdaTargetCache(clf, lrp_cfg)
-    model = Seq2seqModel(len(vocab), embed_dim=cfg.model.embed_dim,
-                         hidden_dim=cfg.model.hidden_dim, attn_dim=cfg.model.attn_dim,
-                         head_dim=cfg.model.head_dim, style_dim=cfg.model.style_dim,
-                         mlp_dim=cfg.model.mlp_dim, seed=cfg.seed_for("stage1-init"))
-    cfg.stage1.max_len = cfg.data.max_len
     log = TrainLog(run_dir / "train_log.stage1.csv")
-    metrics = train_stage1(model, clf, cache, cfg.stage1, train, dev, log)
+    model, eta, metrics = train_stage1(cfg, len(vocab), clf, train, dev, log)
     log.close()
-    save_seq2seq(run_dir / "stage1.ckpt", model, vocab, 1, cfg, eta, lrp_cfg.epsilon)
+    save_seq2seq(run_dir / "stage1.ckpt", model, vocab, 1, cfg, eta)
     update_manifest(run_dir, cfg, {
         "artifacts": {"stage1.ckpt": file_hash(run_dir / "stage1.ckpt")},
         "seeds": {"stage1": cfg.stage1.seed},
@@ -355,21 +319,16 @@ def cmd_train_stage2(args, cfg: ExperimentConfig) -> int:
     ablation = resolve_ablation(variant)
     if "nsc_off" in ablation:
         raise CliError("variant no-nsc has no stage-2 training; evaluate stage1.ckpt instead")
+    if "lxlambda_off" in ablation and not header.get("lxlambda_off", False):
+        raise CliError("variant no-lxlambda needs a stage1.ckpt trained with "
+                       "stage1.lxlambda_off = true; retrain stage 1 with it first")
     cfg.stage2.ablation = ablation
-    cfg.stage2.max_len = cfg.data.max_len
-    if "lxlambda_off" in ablation:
-        # the matching stage-1 variant must also drop the relevance loss
-        print("note: no-lxlambda applies to stage 1; retrain stage1 with "
-              "stage1.lxlambda_off = true for the full variant")
-    lrp_cfg = cfg.lrp_config(calibrated_eta=header.get("eta"))
-    cache = LambdaTargetCache(clf, lrp_cfg)
     suffix = "" if variant == "full" else f".{variant}"
     log = TrainLog(run_dir / f"train_log.stage2{suffix}.csv")
-    trainer = Stage2Trainer(model, clf, lms, cache, cfg.stage2, lrp_cfg, train, log=log)
-    trainer.train()
+    trainer = train_stage2(cfg, model, clf, lms, header.get("eta"), train, log)
     log.close()
     name = f"stage2{suffix}.ckpt"
-    save_seq2seq(run_dir / name, model, vocab, 2, cfg, lrp_cfg.eta, lrp_cfg.epsilon)
+    save_seq2seq(run_dir / name, model, vocab, 2, cfg, trainer.lrp_cfg.eta)
     update_manifest(run_dir, cfg, {
         "artifacts": {name: file_hash(run_dir / name)},
         "seeds": {"stage2": cfg.stage2.seed},
@@ -385,7 +344,7 @@ def _read_input_sentences(args, cfg) -> list[str]:
         lines = read_sentences(args.input)
     else:
         lines = [line.strip() for line in sys.stdin if line.strip()]
-    return _maybe_lower(lines, cfg)
+    return maybe_lower(lines, cfg)
 
 
 def cmd_transfer(args, cfg: ExperimentConfig) -> int:
@@ -430,9 +389,9 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     vocab = Vocabulary.load(require(run_dir / "vocab.txt", "vocabulary"))
     clf = load_classifier(Path(args.classifier) if args.classifier
                           else run_dir / "classifier.ckpt", vocab)
-    outputs = _maybe_lower(read_sentences(require(Path(args.outputs), "outputs file")), cfg)
+    outputs = maybe_lower(read_sentences(require(Path(args.outputs), "outputs file")), cfg)
     ref_files = [Path(p) for p in args.refs.split(",") if p]
-    ref_columns = [_maybe_lower(read_sentences(require(p, "reference file")), cfg)
+    ref_columns = [maybe_lower(read_sentences(require(p, "reference file")), cfg)
                    for p in ref_files]
     for col in ref_columns:
         if len(col) != len(outputs):
@@ -558,12 +517,18 @@ def _load_references(cfg: ExperimentConfig, test: LabeledCorpus) -> list:
     """References aligned with the test corpus order (style0 rows then style1)."""
     refs_by_style = {}
     for style in (0, 1):
-        raw = getattr(cfg.data, f"test_refs_style{style}", "")
-        if not raw:
+        paths = [p for p in getattr(cfg.data, f"test_refs_style{style}").split(",") if p]
+        if not paths:
             raise CliError(f"data.test_refs_style{style} must list reference files")
-        cols = [_maybe_lower(read_sentences(require(Path(p), "reference file")), cfg)
-                for p in raw.split(",") if p]
-        refs_by_style[style] = [[c[i] for c in cols] for i in range(len(cols[0]))]
+        n = test.labels.count(style)
+        cols = []
+        for p in paths:
+            col = maybe_lower(read_sentences(require(Path(p), "reference file")), cfg)
+            if len(col) != n:
+                raise CliError(f"reference file {p} has {len(col)} lines for the "
+                               f"{n} style-{style} test sentences")
+            cols.append(col)
+        refs_by_style[style] = [list(row) for row in zip(*cols)]
     counters = {0: 0, 1: 0}
     references = []
     for label in test.labels:

@@ -2,7 +2,7 @@
 
 Every default is overridable from the file; unknown keys are rejected so
 typos fail loudly. Sub-seeds for each component are derived deterministically
-from one root seed.
+from one root seed, and the stages' ``max_len`` follows ``data.max_len``.
 """
 
 from __future__ import annotations
@@ -80,15 +80,23 @@ class ExperimentConfig:
     lm: LmSection = field(default_factory=LmSection)
     model: ModelSection = field(default_factory=ModelSection)
     lrp: LrpSection = field(default_factory=LrpSection)
-    stage1: Stage1Config = field(default_factory=Stage1Config)
-    stage2: Stage2Config = field(default_factory=Stage2Config)
+    # a stage seed left as None is derived from the root seed
+    stage1: Stage1Config = field(default_factory=lambda: Stage1Config(seed=None))
+    stage2: Stage2Config = field(default_factory=lambda: Stage2Config(seed=None))
+
+    def __post_init__(self):
+        for name in ("stage1", "stage2"):
+            stage = getattr(self, name)
+            if stage.seed is None:
+                stage.seed = self.seed_for(name)
+            stage.max_len = self.data.max_len
 
     def seed_for(self, component: str) -> int:
         return derive_seed(self.root_seed, component)
 
     def to_dict(self) -> dict:
         out = {"root_seed": self.root_seed}
-        for name in ("data", "classifier", "lm", "model", "lrp", "stage1", "stage2"):
+        for name in SECTIONS:
             section = getattr(self, name)
             out[name] = {f.name: _plain(getattr(section, f.name))
                          for f in fields(section)}
@@ -134,13 +142,16 @@ def _coerce(current, raw: str):
     return raw
 
 
+SECTIONS = {"data": DataConfig, "classifier": ClassifierSection, "lm": LmSection,
+            "model": ModelSection, "lrp": LrpSection, "stage1": Stage1Config,
+            "stage2": Stage2Config}
+# fields the config derives from others rather than reads
+DERIVED_KEYS = ("stage1.max_len", "stage2.max_len")
+
+
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Parse an INI-style file onto the defaults; ``overrides`` maps
     'section.key' -> raw string."""
-    cfg = ExperimentConfig()
-    sections = {"data": cfg.data, "classifier": cfg.classifier, "lm": cfg.lm,
-                "model": cfg.model, "lrp": cfg.lrp, "stage1": cfg.stage1,
-                "stage2": cfg.stage2}
     items: list[tuple[str, str, str]] = []
     if path is not None:
         parser = configparser.ConfigParser()
@@ -153,25 +164,20 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         section, _, key = dotted.partition(".")
         items.append((section, key, str(raw)))
 
-    explicit = set()
+    root_seed = 0
+    values = {name: {} for name in SECTIONS}
+    values["stage1"]["seed"] = values["stage2"]["seed"] = None
     for section, key, raw in items:
         if section == "run":
             if key == "root_seed":
-                cfg.root_seed = int(raw)
+                root_seed = int(raw)
                 continue
             raise ValueError(f"unknown config key run.{key}")
-        if section not in sections:
+        if section not in SECTIONS:
             raise ValueError(f"unknown config section [{section}]")
-        target = sections[section]
-        if not hasattr(target, key):
+        default = SECTIONS[section]()
+        if key not in {f.name for f in fields(default)} or f"{section}.{key}" in DERIVED_KEYS:
             raise ValueError(f"unknown config key {section}.{key}")
-        setattr(target, key, _coerce(getattr(target, key), raw))
-        explicit.add(f"{section}.{key}")
-    # component seeds flow from the root seed unless pinned in the file
-    for name in ("stage1", "stage2"):
-        if f"{name}.seed" not in explicit:
-            getattr(cfg, name).seed = cfg.seed_for(name)
-    cfg.stage1.__post_init__()
-    cfg.stage2.__post_init__()
-    cfg.explicit_keys = explicit
-    return cfg
+        values[section][key] = _coerce(getattr(default, key), raw)
+    return ExperimentConfig(root_seed=root_seed,
+                            **{name: cls(**values[name]) for name, cls in SECTIONS.items()})

@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -86,22 +85,6 @@ class LabeledCorpus:
     def subset(self, indices) -> "LabeledCorpus":
         return LabeledCorpus([self.sentences[i] for i in indices],
                              [self.labels[i] for i in indices])
-
-
-def load_style_files(style0_path, style1_path, vocab: Vocabulary) -> LabeledCorpus:
-    sentences, labels = [], []
-    for style, path in ((0, style0_path), (1, style1_path)):
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    sentences.append(vocab.encode(line))
-                    labels.append(style)
-    if not sentences:
-        raise ValueError(f"no sentences found in {style0_path} / {style1_path}")
-    if len(set(labels)) < 2:
-        raise ValueError("training corpus must contain both styles")
-    return LabeledCorpus(sentences, labels)
 
 
 def read_sentences(path) -> list[str]:

@@ -1,108 +1,147 @@
-"""End-to-end estimator: fit the full two-stage system, transform sentences.
+"""End-to-end estimator and the stage functions it shares with the CLI.
 
-``fit`` builds the vocabulary, trains the style classifier, derives per-word
-relevance targets, trains the reconstruction model, the four directional
-language models, and finally fine-tunes the style component. ``transform``
-greedy-decodes inputs toward a target style.
+Each ``train_*`` function runs one stage of the system from an
+``ExperimentConfig``: the style classifier, stage 1 (eta, relevance targets,
+reconstruction model), the four directional language models, and stage 2.
+Every hyperparameter comes from the stage's config section and every seed from
+``ExperimentConfig.seed_for`` or the resolved stage seeds, so
+``StyleTransferPipeline.fit`` and the ``train-*`` subcommands train the same
+models from the same corpus and config.
 """
 
 from __future__ import annotations
 
-import logging
+from dataclasses import asdict
 
 import numpy as np
 
 from restyle.base import ParamMixin, check_binary_labels, check_fitted
-from restyle.data import LabeledCorpus, build_vocab, pack_batch, train_dev_split
+from restyle.config import ExperimentConfig, load_config
+from restyle.data import LabeledCorpus, Vocabulary, build_vocab, pack_batch
+from restyle.language_model import DirectionalLanguageModel
 from restyle.lrp import calibrate_eta
 from restyle.metrics import MetricReport, build_report, corpus_bleu, transfer_accuracy
 from restyle.seq2seq import Seq2seqModel
 from restyle.textcnn import TextCnnStyleClassifier
-from restyle.training import (
-    LambdaTargetCache,
-    LrpConfig,
-    Stage1Config,
-    Stage2Config,
-    Stage2Trainer,
-    fit_language_models,
-    train_stage1,
-)
-
-logger = logging.getLogger(__name__)
+from restyle.training import LambdaTargetCache, Stage1Trainer, Stage2Trainer, TrainLog
 
 
 class StyleTransferPipeline(ParamMixin):
     """fit(sentences, labels) then transform(sentences, target_style)."""
 
-    def __init__(self, embed_dim=64, hidden_dim=64, classifier_params=None,
-                 lm_params=None, stage1=None, stage2=None, lrp=None,
-                 max_len=16, min_freq=1, dev_fraction=0.1, eta="auto",
-                 eta_target=0.7, seed=0):
-        self.embed_dim = embed_dim
-        self.hidden_dim = hidden_dim
-        self.classifier_params = classifier_params
-        self.lm_params = lm_params
-        self.stage1 = stage1
-        self.stage2 = stage2
-        self.lrp = lrp
-        self.max_len = max_len
-        self.min_freq = min_freq
-        self.dev_fraction = dev_fraction
-        self.eta = eta
-        self.eta_target = eta_target
-        self.seed = seed
+    def __init__(self, config: ExperimentConfig | None = None):
+        self.config = load_config(None) if config is None else config
         self.vocab_ = None
         self.classifier_ = None
         self.model_ = None
         self.lms_ = None
         self.lrp_config_ = None
-        self.lam_cache_ = None
         self.stage1_metrics_ = None
 
-    def fit(self, X, y):
+    def fit(self, X, y, X_dev=None, y_dev=None):
+        """Train every stage on (X, y); stage 1 early-stops on (X_dev, y_dev)
+        when given."""
+        cfg = self.config
         y = check_binary_labels(list(y), len(X))
-        self.vocab_ = build_vocab(X, min_freq=self.min_freq)
-        corpus = LabeledCorpus([self.vocab_.encode(s) for s in X], y.tolist())
-        train, dev = train_dev_split(corpus, self.dev_fraction, self.seed)
-
-        clf_kwargs = dict(vocab_size=len(self.vocab_), embed_dim=self.embed_dim,
-                          seed=self.seed + 1)
-        clf_kwargs.update(self.classifier_params or {})
-        self.classifier_ = TextCnnStyleClassifier(**clf_kwargs)
-        self.classifier_.fit(train.sentences, train.labels)
-
-        lrp_cfg = self.lrp or LrpConfig()
-        if self.eta == "auto":
-            eta = calibrate_eta(self.classifier_, train.sentences, train.labels,
-                                target_lambda=self.eta_target, seed=self.seed)
-            lrp_cfg = LrpConfig(eta=eta, epsilon=lrp_cfg.epsilon,
-                                stabilizer=lrp_cfg.stabilizer)
-        self.lrp_config_ = lrp_cfg
-        self.lam_cache_ = LambdaTargetCache(self.classifier_, lrp_cfg)
-
-        self.model_ = Seq2seqModel(len(self.vocab_), embed_dim=self.embed_dim,
-                                   hidden_dim=self.hidden_dim, seed=self.seed + 2)
-        self.stage1_metrics_ = train_stage1(self.model_, self.classifier_, self.lam_cache_,
-                                            self.stage1 or Stage1Config(), train, dev)
-
-        lm_kwargs = dict(vocab_size=len(self.vocab_), max_len=self.max_len)
-        lm_kwargs.update(self.lm_params or {})
-        self.lms_ = fit_language_models(train, self.seed, **lm_kwargs)
-
-        s2 = self.stage2 or Stage2Config()
-        Stage2Trainer(self.model_, self.classifier_, self.lms_, self.lam_cache_,
-                      s2, lrp_cfg, train).train()
+        self.vocab_ = build_vocab(maybe_lower(X, cfg), min_freq=cfg.data.min_freq)
+        train = encode_corpus(cfg, self.vocab_, X, y.tolist())
+        dev = None
+        if X_dev is not None:
+            y_dev = check_binary_labels(list(y_dev), len(X_dev))
+            dev = encode_corpus(cfg, self.vocab_, X_dev, y_dev.tolist())
+        V = len(self.vocab_)
+        self.classifier_ = train_classifier(cfg, V, train)
+        self.model_, eta, self.stage1_metrics_ = train_stage1(cfg, V, self.classifier_,
+                                                              train, dev)
+        self.lrp_config_ = cfg.lrp_config(calibrated_eta=eta)
+        self.lms_ = train_language_models(cfg, V, train)
+        train_stage2(cfg, self.model_, self.classifier_, self.lms_, eta, train)
         return self
 
     def transform(self, X, target_style: int, return_relevance: bool = False):
         check_fitted(self, "model_")
-        ids = [self.vocab_.encode(s) for s in X]
+        ids = [self.vocab_.encode(s) for s in maybe_lower(X, self.config)]
         outputs, gates = transfer_sentences(self.model_, ids, target_style,
-                                            max_len=self.max_len)
+                                            max_len=self.config.data.max_len)
         decoded = [self.vocab_.decode(o) for o in outputs]
         if return_relevance:
             return decoded, [g[:len(o)].tolist() for o, g in zip(outputs, gates)]
         return decoded
+
+
+# ---------------------------------------------------------------------------
+# corpora and stages
+
+
+def maybe_lower(sentences, cfg: ExperimentConfig) -> list[str]:
+    return [s.lower() for s in sentences] if cfg.data.lowercase else list(sentences)
+
+
+def encode_corpus(cfg: ExperimentConfig, vocab: Vocabulary, sentences, labels) -> LabeledCorpus:
+    """Sentences lowercased by ``data.lowercase`` and encoded with ``vocab``."""
+    return LabeledCorpus([vocab.encode(s) for s in maybe_lower(sentences, cfg)], list(labels))
+
+
+def resolve_eta(cfg: ExperimentConfig, clf: TextCnnStyleClassifier, corpus: LabeledCorpus) -> float:
+    """``lrp.eta``, or with 'auto' the eta calibrated on ``corpus``'s labels."""
+    if cfg.lrp.eta == "auto":
+        return calibrate_eta(clf, corpus.sentences, corpus.labels,
+                             target_lambda=cfg.lrp.eta_target,
+                             seed=cfg.seed_for("eta"))
+    return float(cfg.lrp.eta)
+
+
+def train_classifier(cfg: ExperimentConfig, vocab_size: int,
+                     train: LabeledCorpus) -> TextCnnStyleClassifier:
+    clf = TextCnnStyleClassifier(vocab_size=vocab_size, seed=cfg.seed_for("classifier"),
+                                 **asdict(cfg.classifier))
+    return clf.fit(train.sentences, train.labels)
+
+
+def train_stage1(cfg: ExperimentConfig, vocab_size: int, clf: TextCnnStyleClassifier,
+                 train: LabeledCorpus, dev: LabeledCorpus | None = None,
+                 log: TrainLog | None = None):
+    """Resolve eta, precompute the relevance targets and train the sequence
+    model. Returns ``(model, eta, metrics)``, the metrics on ``dev`` (on
+    ``train`` when there is none)."""
+    eta = resolve_eta(cfg, clf, train)
+    cache = LambdaTargetCache(clf, cfg.lrp_config(calibrated_eta=eta))
+    cache.precompute(train)
+    model = Seq2seqModel(vocab_size, seed=cfg.seed_for("stage1-init"), **asdict(cfg.model))
+    trainer = Stage1Trainer(model, clf, cache, cfg.stage1, train, dev_corpus=dev, log=log)
+    trainer.train()
+    return model, eta, trainer.evaluate(dev if dev is not None else train)
+
+
+def train_language_models(cfg: ExperimentConfig, vocab_size: int, train: LabeledCorpus,
+                          styles=(0, 1), directions=("forward", "backward")) -> dict:
+    """One directional LM per (style, direction), fit on that style's training
+    sentences and seeded by ``cfg.seed_for("lm.{style}.{direction}")``."""
+    lms = {}
+    for style in styles:
+        styled = train.by_style(style)
+        for direction in directions:
+            lm = DirectionalLanguageModel(
+                vocab_size=vocab_size, style=style, direction=direction,
+                max_len=cfg.data.max_len, seed=cfg.seed_for(f"lm.{style}.{direction}"),
+                **asdict(cfg.lm))
+            lms[(style, direction)] = lm.fit(styled.sentences)
+    return lms
+
+
+def train_stage2(cfg: ExperimentConfig, model: Seq2seqModel, clf: TextCnnStyleClassifier,
+                 lms: dict, eta: float, train: LabeledCorpus,
+                 log: TrainLog | None = None) -> Stage2Trainer:
+    """Fine-tune ``model`` in place under ``cfg.stage2``; returns the trainer."""
+    lrp_cfg = cfg.lrp_config(calibrated_eta=eta)
+    trainer = Stage2Trainer(model, clf, lms, LambdaTargetCache(clf, lrp_cfg), cfg.stage2,
+                            lrp_cfg, train, log=log)
+    trainer.train()
+    return trainer
+
+
+# ---------------------------------------------------------------------------
+# transfer and its evaluation
 
 
 def transfer_sentences(model: Seq2seqModel, id_seqs, target_style: int,

@@ -21,9 +21,8 @@ import numpy as np
 
 from restyle import autodiff as ad
 from restyle.autodiff import constant
-from restyle.base import derive_seed
 from restyle.data import Batcher, LabeledCorpus, corrupt_batch, pack_batch
-from restyle.language_model import DirectionalLanguageModel, fluency_loss
+from restyle.language_model import fluency_loss
 from restyle.lrp import hard_word_relevance, soft_word_relevance
 from restyle.seq2seq import Seq2seqModel, sample_gumbel
 from restyle.textcnn import TextCnnStyleClassifier
@@ -483,36 +482,6 @@ class Stage2Trainer:
                             return {"steps": self.step_count}
                 turn = 1 - turn
         return {"steps": self.step_count}
-
-
-# ---------------------------------------------------------------------------
-# stages shared by StyleTransferPipeline.fit and the train-* subcommands
-
-
-def train_stage1(model: Seq2seqModel, classifier: TextCnnStyleClassifier,
-                 lam_cache: LambdaTargetCache, cfg: Stage1Config, train: LabeledCorpus,
-                 dev: LabeledCorpus | None = None, log: TrainLog | None = None) -> dict:
-    """Precompute the relevance targets, train stage 1 and return its
-    evaluation on ``dev`` (``train`` when there is none)."""
-    lam_cache.precompute(train)
-    trainer = Stage1Trainer(model, classifier, lam_cache, cfg, train, dev_corpus=dev, log=log)
-    trainer.train()
-    return trainer.evaluate(dev if dev is not None else train)
-
-
-def fit_language_models(train: LabeledCorpus, root_seed: int, styles=(0, 1),
-                        directions=("forward", "backward"), **lm_kwargs) -> dict:
-    """One directional LM per (style, direction), fit on that style's training
-    sentences and seeded by ``derive_seed(root_seed, "lm.{style}.{direction}")``."""
-    lms = {}
-    for style in styles:
-        styled = train.by_style(style)
-        for direction in directions:
-            lm = DirectionalLanguageModel(
-                style=style, direction=direction,
-                seed=derive_seed(root_seed, f"lm.{style}.{direction}"), **lm_kwargs)
-            lms[(style, direction)] = lm.fit(styled.sentences)
-    return lms
 
 
 def grads_all_zero(params: dict) -> bool:

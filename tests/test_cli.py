@@ -73,6 +73,24 @@ def run_cli(cli_env, *argv):
                  *argv])
 
 
+def copy_run(cli_env, dest, names):
+    """A run directory holding copies of ``names`` from the cli_env run."""
+    dest.mkdir()
+    for name in names:
+        (dest / name).write_bytes((Path(cli_env["run_dir"]) / name).read_bytes())
+    return dest
+
+
+def checkpoint_hash(path):
+    from restyle.checkpoint import load_checkpoint, params_hash
+
+    _, arrays = load_checkpoint(path)
+    return params_hash({k: parameter(v) for k, v in arrays.items()})
+
+
+LM_NAMES = [f"lm.{s}.{d}.ckpt" for s in (0, 1) for d in ("forward", "backward")]
+
+
 class TestPipelineCommands:
     def test_01_missing_dependency_named(self, cli_env, capsys):
         rc = run_cli(cli_env, "train-stage1")
@@ -111,6 +129,67 @@ class TestPipelineCommands:
     def test_05_train_stage2(self, cli_env):
         assert run_cli(cli_env, "train-stage2") == 0
         assert (Path(cli_env["run_dir"]) / "stage2.ckpt").exists()
+
+    def test_05b_pipeline_fit_trains_the_cli_checkpoints(self, cli_env, monkeypatch):
+        import restyle.pipeline as pipeline_module
+        from restyle.checkpoint import params_hash
+        from restyle.config import load_config
+        from restyle.data import read_sentences
+
+        def split(name):
+            rows = [read_sentences(cli_env["corpus_dir"] / f"{name}.style{s}.txt")
+                    for s in (0, 1)]
+            return rows[0] + rows[1], [0] * len(rows[0]) + [1] * len(rows[1])
+
+        stage1_hash = []
+        train_stage2 = pipeline_module.train_stage2
+
+        def record_stage1(cfg, model, *args, **kwargs):
+            stage1_hash.append(params_hash(model.params))
+            return train_stage2(cfg, model, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "train_stage2", record_stage1)
+        pipe = pipeline_module.StyleTransferPipeline(load_config(cli_env["config"]))
+        pipe.fit(*split("train"), *split("dev"))
+        fitted = {"classifier.ckpt": params_hash(pipe.classifier_.params_),
+                  "stage1.ckpt": stage1_hash[0],
+                  "stage2.ckpt": params_hash(pipe.model_.params)}
+        for (style, direction), lm in pipe.lms_.items():
+            fitted[f"lm.{style}.{direction}.ckpt"] = params_hash(lm.params_)
+        run_dir = Path(cli_env["run_dir"])
+        assert sorted(fitted) == sorted(["classifier.ckpt", "stage1.ckpt", "stage2.ckpt",
+                                         *LM_NAMES])
+        assert fitted == {name: checkpoint_hash(run_dir / name) for name in fitted}
+
+    def test_05c_empty_corpus_file_named(self, cli_env, capsys, tmp_path):
+        # data.lowercase is on (the default) on this path too
+        work = copy_run(cli_env, tmp_path / "run", ["vocab.txt", "classifier.ckpt"])
+        empty = tmp_path / "dev.style1.txt"
+        empty.write_text("\n")
+        rc = main(["--config", cli_env["config"], "--run-dir", str(work),
+                   "--set", f"data.dev_style1={empty}", "train-stage1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"dev corpus {empty} (style 1) has no sentences" in err
+        assert not (work / "stage1.ckpt").exists()
+
+    def test_05d_no_lxlambda_needs_a_matching_stage1(self, cli_env, capsys, tmp_path):
+        from restyle.checkpoint import load_checkpoint
+
+        run_dir = Path(cli_env["run_dir"])
+        assert load_checkpoint(run_dir / "stage1.ckpt")[0]["lxlambda_off"] is False
+        work = copy_run(cli_env, tmp_path / "run",
+                        ["vocab.txt", "classifier.ckpt", "stage1.ckpt", *LM_NAMES])
+        common = ["--config", cli_env["config"], "--run-dir", str(work)]
+        assert main([*common, "train-stage2", "--variant", "no-lxlambda"]) == 1
+        assert "stage1.lxlambda_off" in capsys.readouterr().err
+        assert not (work / "stage2.no-lxlambda.ckpt").exists()
+        assert main([*common, "--set", "stage1.lxlambda_off=true", "--set", "stage1.epochs=1",
+                     "train-stage1"]) == 0
+        assert load_checkpoint(work / "stage1.ckpt")[0]["lxlambda_off"] is True
+        assert main([*common, "train-stage2", "--variant", "no-lxlambda"]) == 0
+        assert (work / "stage2.no-lxlambda.ckpt").exists()
+        capsys.readouterr()
 
     def test_06_transfer_with_relevance_dump(self, cli_env, capsys):
         src = Path(cli_env["run_dir"]) / "transfer_in.txt"
@@ -280,6 +359,23 @@ class TestPipelineCommands:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "variant,acc,bleu,g2,h2,n_sentences"
         assert lines[1].startswith("no-nsc,")
+
+    def test_10b_ablate_names_a_short_reference_file(self, cli_env, capsys, tmp_path):
+        corpus_dir = cli_env["corpus_dir"]
+        full = corpus_dir / "test.style0.ref0.txt"
+        n = len(full.read_text().splitlines())
+        short = tmp_path / "short.txt"
+        short.write_text("".join(full.read_text().splitlines(keepends=True)[:1]))
+        work = copy_run(cli_env, tmp_path / "run", ["vocab.txt", "classifier.ckpt",
+                                                    "stage1.ckpt"])
+        rc = main(["--config", cli_env["config"], "--run-dir", str(work),
+                   "--set", f"data.test_refs_style0={full},{short}",
+                   "ablate", "--variant", "no-nsc"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: runtime: ")
+        assert f"reference file {short} has 1 lines for the {n} style-0 test sentences" in err
+        assert not (work / "ablations.csv").exists()
 
     def test_11_manifest_artifacts_exist_and_hash(self, cli_env):
         run_dir = Path(cli_env["run_dir"])

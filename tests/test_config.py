@@ -56,6 +56,21 @@ filter_widths = 2, 3
         cfg = load_config(write_cfg(tmp_path, "[stage1]\nseed = 123\n"))
         assert cfg.stage1.seed == 123
 
+    def test_code_and_file_configs_derive_the_same_stage_seeds(self):
+        built, loaded = ExperimentConfig(), load_config(None)
+        assert built.stage1.seed == loaded.stage1.seed == built.seed_for("stage1")
+        assert built.stage2.seed == loaded.stage2.seed == built.seed_for("stage2")
+        assert built == loaded
+        assert ExperimentConfig(root_seed=5).stage1.seed == \
+            load_config(None, {"run.root_seed": "5"}).stage1.seed
+
+    def test_stage_max_len_follows_data_max_len(self):
+        cfg = load_config(None, {"data.max_len": "20"})
+        assert cfg.stage1.max_len == cfg.stage2.max_len == 20
+        for key in ("stage1.max_len", "stage2.max_len"):
+            with pytest.raises(ValueError, match=f"unknown config key {key}"):
+                load_config(None, {key: "20"})
+
     def test_ablation_names_parsed(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, "[stage2]\nablation = nsc-lambda\n"))
         assert cfg.stage2.ablation == frozenset({"gate_off"})

@@ -1,24 +1,28 @@
 import numpy as np
 import pytest
 
+from restyle.config import load_config
 from restyle.pipeline import StyleTransferPipeline, evaluate_transfer
-from restyle.synthetic import MARKERS, generate_marker_corpus
-from restyle.training import Stage1Config, Stage2Config
+from restyle.synthetic import generate_marker_corpus
 
 
 @pytest.fixture(scope="module")
 def fitted_pipeline():
     corpus = generate_marker_corpus(n_train=1500, n_dev=150, n_test=80, seed=21)
-    pipe = StyleTransferPipeline(
-        embed_dim=32, hidden_dim=32, min_freq=1, seed=9,
-        classifier_params={"embed_dim": 32, "num_filters": 16, "epochs": 3},
-        lm_params={"embed_dim": 24, "hidden_dim": 24, "epochs": 2},
-        stage1=Stage1Config(epochs=6, learning_rate=2e-3, optimizer="adam",
-                            patience=2, seed=1),
-        stage2=Stage2Config(optimizer="adam", learning_rate=5e-4, clip_norm=1.0,
-                            epochs=1, seed=2),
-    )
-    pipe.fit(corpus.train_sentences, corpus.train_labels)
+    cfg = load_config(None, {
+        "run.root_seed": "9", "data.min_freq": "1",
+        "model.embed_dim": "32", "model.hidden_dim": "32",
+        "classifier.embed_dim": "32", "classifier.num_filters": "16",
+        "classifier.epochs": "3",
+        "lm.embed_dim": "24", "lm.hidden_dim": "24", "lm.epochs": "2",
+        "stage1.epochs": "6", "stage1.learning_rate": "2e-3", "stage1.optimizer": "adam",
+        "stage1.patience": "2",
+        "stage2.optimizer": "adam", "stage2.learning_rate": "5e-4", "stage2.clip_norm": "1.0",
+        "stage2.epochs": "1",
+    })
+    pipe = StyleTransferPipeline(cfg)
+    pipe.fit(corpus.train_sentences, corpus.train_labels,
+             corpus.dev_sentences, corpus.dev_labels)
     return pipe, corpus
 
 
@@ -55,8 +59,9 @@ class TestStyleTransferPipeline:
             StyleTransferPipeline().transform(["hello"], target_style=0)
 
     def test_get_params_includes_configs(self):
-        pipe = StyleTransferPipeline(embed_dim=16)
-        assert pipe.get_params()["embed_dim"] == 16
+        cfg = load_config(None, {"model.embed_dim": "16"})
+        assert StyleTransferPipeline(cfg).get_params() == {"config": cfg}
+        assert StyleTransferPipeline().get_params() == {"config": load_config(None)}
 
 
 class TestEvaluateTransfer:

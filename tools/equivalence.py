@@ -16,7 +16,12 @@ records:
   stage-1 model at the ``finetune`` workload's settings (Adam), and the
   model's final ``params_hash``;
 * ``lm``: the dev perplexity of each pickled LM; and of each LM fit again with
-  its workload settings and seed, with the refit weights' hash.
+  its workload settings and seed, with the refit weights' hash;
+* ``cli``: ``train-classifier``, ``train-lm``, ``train-stage1`` and
+  ``train-stage2`` run through ``restyle.cli.main`` on a small generated
+  corpus (the seed is the corpus seed and ``run.root_seed``) with a small
+  config, and the ``params_hash`` of all seven checkpoints, the ``total``
+  column of both ``train_log`` CSVs and a hash of the corpus files.
 
 The result holds, per seed, both records and whether the loss totals and
 hashes are identical, with the largest relative perplexity gap.
@@ -26,6 +31,8 @@ hashes are identical, with the largest relative perplexity gap.
 from __future__ import annotations
 
 import argparse
+import csv
+import hashlib
 import itertools
 import json
 import os
@@ -36,6 +43,48 @@ import tempfile
 from pathlib import Path
 
 STAGE1_SEED = 7
+
+CLI_CONFIG = """
+[run]
+root_seed = {seed}
+
+[data]
+train_style0 = {corpus}/train.style0.txt
+train_style1 = {corpus}/train.style1.txt
+dev_style0 = {corpus}/dev.style0.txt
+dev_style1 = {corpus}/dev.style1.txt
+min_freq = 1
+
+[classifier]
+embed_dim = 24
+num_filters = 12
+epochs = 3
+
+[lm]
+embed_dim = 16
+hidden_dim = 16
+epochs = 2
+
+[model]
+embed_dim = 24
+hidden_dim = 24
+attn_dim = 24
+head_dim = 12
+style_dim = 8
+mlp_dim = 16
+
+[stage1]
+epochs = 4
+learning_rate = 2e-3
+optimizer = adam
+patience = 2
+
+[stage2]
+epochs = 1
+learning_rate = 1e-3
+clip_norm = 1.0
+optimizer = adam
+"""
 
 
 def _import_from(checkout: Path):
@@ -94,6 +143,36 @@ def worker_record(checkout: Path, seed: int, start: Path, steps: int, out: Path)
     out.write_text(json.dumps(record))
 
 
+def worker_cli(checkout: Path, seed: int, work: Path, out: Path) -> None:
+    sys.path.insert(0, str(checkout / "src"))
+    from restyle.autodiff import parameter
+    from restyle.checkpoint import load_checkpoint, params_hash
+    from restyle.cli import main
+    from restyle.synthetic import generate_marker_corpus, write_corpus_files
+
+    corpus = work / "corpus"
+    write_corpus_files(generate_marker_corpus(n_train=400, n_dev=80, n_test=40, seed=seed),
+                       corpus)
+    config = work / "config.ini"
+    config.write_text(CLI_CONFIG.format(seed=seed, corpus=corpus))
+    run_dir = work / "run"
+    for command in ("train-classifier", "train-lm", "train-stage1", "train-stage2"):
+        if main(["--config", str(config), "--run-dir", str(run_dir), command]) != 0:
+            raise SystemExit(f"{command} failed in {checkout}")
+    digest = hashlib.sha256()
+    for path in sorted(corpus.iterdir()):
+        digest.update(path.name.encode() + path.read_bytes())
+    record = {"corpus_hash": digest.hexdigest(), "params_hash": {}, "loss_totals": {}}
+    for path in sorted(run_dir.glob("*.ckpt")):
+        arrays = load_checkpoint(path)[1]
+        record["params_hash"][path.name] = params_hash(
+            {k: parameter(v) for k, v in arrays.items()})
+    for path in sorted(run_dir.glob("train_log.*.csv")):
+        with open(path, newline="") as f:
+            record["loss_totals"][path.name] = [float(row["total"]) for row in csv.DictReader(f)]
+    out.write_text(json.dumps(record))
+
+
 def _run(*argv) -> None:
     # one BLAS thread, as in perfbench/run.py
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -110,6 +189,10 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
         _run("--worker", "record", "--checkout", checkout, "--seed", seed, "--start", start,
              "--steps", steps, "--out", out)
         rec[tag] = json.loads(out.read_text())
+        work = tmp / f"cli-{tag}"
+        _run("--worker", "cli", "--checkout", checkout, "--seed", seed, "--start", work,
+             "--out", out)
+        rec[tag]["cli"] = json.loads(out.read_text())
     p, c = rec["parent"], rec["change"]
     ppl_gap = max(abs(p["lm"][k][f] - c["lm"][k][f]) / p["lm"][k][f]
                   for k in p["lm"]
@@ -122,6 +205,7 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
         "lm_refit_weights_identical": all(p["lm"][k]["refit_weights_hash"]
                                           == c["lm"][k]["refit_weights_hash"] for k in p["lm"]),
         "lm_max_relative_perplexity_gap": ppl_gap,
+        "cli_identical": p["cli"] == c["cli"],
         **rec,
     }
 
@@ -134,14 +218,16 @@ def main(argv=None) -> int:
     ap.add_argument("--steps", type=int, default=8)
     ap.add_argument("--out", type=Path)
     # internal: one checkout's side of a comparison
-    ap.add_argument("--worker", choices=["start", "record"])
+    ap.add_argument("--worker", choices=["start", "record", "cli"])
     ap.add_argument("--checkout", type=Path)
     ap.add_argument("--seed", type=int)
-    ap.add_argument("--start", type=Path)
+    ap.add_argument("--start", type=Path, help="start pickle; for cli, its work directory")
     args = ap.parse_args(argv)
 
     if args.worker == "start":
         worker_start(args.checkout.resolve(), args.seed, args.out)
+    elif args.worker == "cli":
+        worker_cli(args.checkout.resolve(), args.seed, args.start, args.out)
     elif args.worker == "record":
         worker_record(args.checkout.resolve(), args.seed, args.start, args.steps, args.out)
     else:
