@@ -96,7 +96,8 @@ def aggregate_scores(acc: float, bleu: float) -> tuple[float, float]:
     """Geometric and harmonic means of accuracy and BLEU (0-100 scale)."""
     if acc < 0 or bleu < 0:
         raise ValueError("aggregate_scores: inputs must be nonnegative")
-    g2 = math.sqrt(acc * bleu)
+    # sqrt of each factor: the product of a subnormal score underflows to 0
+    g2 = math.sqrt(acc) * math.sqrt(bleu)
     h2 = 0.0 if acc + bleu == 0 else 2.0 * acc * bleu / (acc + bleu)
     return g2, h2
 
