@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -22,7 +23,15 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 _SEQ = itertools.count()
-_GRAD_ENABLED = True
+
+
+class _GradMode(threading.local):
+    """Per-thread trace switch; every thread starts with recording on."""
+
+    enabled = True
+
+
+_GRAD = _GradMode()
 
 # Additive mask value: exp(x - _MASK_BIG) underflows to exactly 0.0.
 MASK_BIG = 1e30
@@ -30,18 +39,17 @@ MASK_BIG = 1e30
 
 @contextmanager
 def no_grad():
-    """Disable trace recording; ops compute values only."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable trace recording in the calling thread; ops compute values only."""
+    prev = _GRAD.enabled
+    _GRAD.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD.enabled = prev
 
 
 def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    return _GRAD.enabled
 
 
 class Tensor:
@@ -147,7 +155,7 @@ def _lift(x):
 
 def _node(values, parents, bwd, name=None) -> Tensor:
     """Register an op output; records nothing when grads are disabled."""
-    if not _GRAD_ENABLED:
+    if not _GRAD.enabled:
         return Tensor(values, name=name)
     req = any(p.requires_grad for p in parents)
     if not req:
@@ -250,10 +258,15 @@ def tanh(a: Tensor) -> Tensor:
     return _node(out, (a,), bwd)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function; exp only ever sees -|x|, so it cannot overflow."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    out = np.where(a.values >= 0,
-                   1.0 / (1.0 + np.exp(-np.abs(a.values))),
-                   np.exp(-np.abs(a.values)) / (1.0 + np.exp(-np.abs(a.values))))
+    out = _sigmoid(a.values)
 
     def bwd(g):
         if a.requires_grad:
@@ -303,6 +316,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
     def bwd(g):
+        if b.values.ndim == 2 and a.values.ndim > 2:
+            # a 2-D right operand under a batched left one: fold the batch axes
+            # into rows, so each gradient is one 2-D product and no (..., K, N)
+            # per-batch buffer is built and summed
+            K, N = b.shape
+            if a.requires_grad:
+                a.grad += (g.reshape(-1, N) @ b.values.T).reshape(a.shape)
+            if b.requires_grad:
+                b.grad += a.values.reshape(-1, K).T @ g.reshape(-1, N)
+            return
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.values, -1, -2))
             a.grad += _unbroadcast(ga, a.shape)
@@ -322,6 +345,49 @@ def swap_last_axes(a: Tensor) -> Tensor:
             a.grad += np.swapaxes(g, -1, -2)
 
     return _node(out, (a,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# recurrent cell
+
+
+def gru_step(gi: Tensor, h: Tensor, u: Tensor, bh: Tensor) -> Tensor:
+    """One GRU update (Cho et al. 2014) as a single traced op.
+
+    ``gi`` (B, 3H) is the input projection x·W + b_i, computed outside so it
+    can be batched over timesteps; ``h`` (B, H) is the previous state and
+    ``u`` (H, 3H), ``bh`` (3H,) the recurrent weights, gate columns in z|r|n
+    order. The reset gate scales the recurrent term of the candidate:
+
+        z = σ(gi_z + gh_z),  r = σ(gi_r + gh_r),  gh = h·U + b_h
+        n = tanh(gi_n + r ⊙ gh_n),  h' = (1 − z) ⊙ n + z ⊙ h
+
+    The forward evaluates, entry by entry, the same expressions in the same
+    order as the composed ``matmul``/``sigmoid``/``tanh`` ops, so its values
+    are those of the composed graph; the backward is written out by hand.
+    """
+    H = h.shape[-1]
+    gh = np.matmul(h.values, u.values) + bh.values
+    zr = _sigmoid(gi.values[:, :2 * H] + gh[:, :2 * H])
+    z, r = zr[:, :H], zr[:, H:]
+    n = np.tanh(gi.values[:, 2 * H:] + r * gh[:, 2 * H:])
+    out = (1.0 - z) * n + z * h.values
+
+    def bwd(g):
+        da_n = g * (1.0 - z) * (1.0 - n * n)
+        da_z = g * (h.values - n) * z * (1.0 - z)
+        da_r = da_n * gh[:, 2 * H:] * r * (1.0 - r)
+        dgh = np.concatenate([da_z, da_r, da_n * r], axis=1)
+        if gi.requires_grad:
+            gi.grad += np.concatenate([da_z, da_r, da_n], axis=1)
+        if h.requires_grad:
+            h.grad += g * z + dgh @ u.values.T
+        if u.requires_grad:
+            u.grad += h.values.T @ dgh
+        if bh.requires_grad:
+            bh.grad += dgh.sum(axis=0)
+
+    return _node(out, (gi, h, u, bh), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +430,11 @@ def tmax(a: Tensor, axis: int) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
+def softmax(a: Tensor, axis: int = -1, bias: np.ndarray | None = None) -> Tensor:
+    """softmax(a + bias) along ``axis``; ``bias`` is a constant added first
+    (an additive mask, say) and takes no gradient."""
+    x = a.values if bias is None else a.values + bias
+    shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
 
@@ -419,6 +488,33 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 t.grad += g[tuple(sl)]
 
     return _node(out, tuple(tensors), bwd)
+
+
+def stack(tensors, axis: int = 0) -> Tensor:
+    """Join same-shape tensors along a new axis."""
+    tensors = [_lift(t) for t in tensors]
+    out = np.stack([t.values for t in tensors], axis=axis)
+
+    def bwd(g):
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                t.grad += np.take(g, i, axis=axis)
+
+    return _node(out, tuple(tensors), bwd)
+
+
+def select(a: Tensor, axis: int, index: int) -> Tensor:
+    """The slice at ``index`` along ``axis``, with that axis dropped."""
+    sl = [slice(None)] * a.values.ndim
+    sl[axis] = index
+    sl = tuple(sl)
+    out = a.values[sl]
+
+    def bwd(g):
+        if a.requires_grad:
+            a.grad[sl] += g
+
+    return _node(out, (a,), bwd)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:

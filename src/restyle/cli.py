@@ -40,7 +40,7 @@ from restyle.pipeline import (
 )
 from restyle.seq2seq import Seq2seqModel
 from restyle.textcnn import TextCnnStyleClassifier
-from restyle.training import TrainLog, resolve_ablation
+from restyle.training import TrainLog, ablation_name, resolve_ablation
 
 EXIT_USAGE = 2
 EXIT_MISSING_DEPENDENCY = 3
@@ -219,20 +219,21 @@ def load_seq2seq(path: Path, vocab: Vocabulary, what: str = "model checkpoint"):
     return model, header
 
 
-def run_eta(run_dir: Path):
-    """The eta stage 1 trained with: from manifest.json, else from the
-    stage1.ckpt header; None when the run has neither."""
-    manifest = run_dir / "manifest.json"
-    if manifest.exists():
-        eta = json.loads(manifest.read_text()).get("eta")
-        if eta is not None:
-            return float(eta)
+def run_lrp(run_dir: Path) -> tuple[float | None, float | None]:
+    """The (eta, epsilon) stage 1 trained with. Eta comes from manifest.json,
+    else from the stage1.ckpt header; epsilon from the stage1.ckpt header.
+    Each is None when the run does not record it."""
+    header = {}
     ckpt = run_dir / "stage1.ckpt"
     if ckpt.exists():
         header, _ = load_checkpoint(ckpt)
-        if header.get("eta") is not None:
-            return float(header["eta"])
-    return None
+    eta = header.get("eta")
+    manifest = run_dir / "manifest.json"
+    if manifest.exists():
+        eta = json.loads(manifest.read_text()).get("eta", eta)
+    epsilon = header.get("epsilon")
+    return (None if eta is None else float(eta),
+            None if epsilon is None else float(epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +308,12 @@ def _load_lms(run_dir: Path, vocab: Vocabulary) -> dict:
     return lms
 
 
+def stage2_ablation(args, cfg: ExperimentConfig) -> frozenset:
+    """Ablation flags of a stage-2 command: ``--variant`` when given, else
+    ``stage2.ablation``."""
+    return resolve_ablation(args.variant) if args.variant else cfg.stage2.ablation
+
+
 def cmd_train_stage2(args, cfg: ExperimentConfig) -> int:
     run_dir = Path(args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -315,8 +322,8 @@ def cmd_train_stage2(args, cfg: ExperimentConfig) -> int:
     model, header = load_seq2seq(run_dir / "stage1.ckpt", vocab, "stage1 checkpoint")
     lms = _load_lms(run_dir, vocab)
     train = load_split(cfg, vocab, "train")
-    variant = getattr(args, "variant", None) or "full"
-    ablation = resolve_ablation(variant)
+    ablation = stage2_ablation(args, cfg)
+    variant = ablation_name(ablation)
     if "nsc_off" in ablation:
         raise CliError("variant no-nsc has no stage-2 training; evaluate stage1.ckpt instead")
     if "lxlambda_off" in ablation and not header.get("lxlambda_off", False):
@@ -425,18 +432,24 @@ def cmd_lrp_inspect(args, cfg: ExperimentConfig) -> int:
         targets = [int(t) for t in clf.predict(encoded)]
     else:
         targets = [int(args.target_style)] * len(sentences)
+    # the run's eta was calibrated on the run's classifier, not on --classifier,
+    # and under the run's epsilon
+    eta = epsilon = None
+    if not args.classifier:
+        eta, epsilon = run_lrp(run_dir)
     if args.eta:
-        eta = float(args.eta)
-    else:
-        # the run's eta was calibrated on the run's classifier, not on --classifier
-        eta = None if args.classifier else run_eta(run_dir)
-        if eta is None:
-            eta = resolve_eta(cfg, clf, LabeledCorpus(encoded, targets))
+        eta, epsilon = float(args.eta), None
+    if eta is None:
+        eta = resolve_eta(cfg, clf, LabeledCorpus(encoded, targets))
+    if args.epsilon is not None:
+        epsilon = args.epsilon
+    elif epsilon is None:
+        epsilon = cfg.lrp.epsilon
     records = []
     for sentence, ids, target in zip(sentences, encoded, targets):
         batch = pack_batch([ids], min_width=max(clf.filter_widths))
         wr = hard_word_relevance(clf, batch.enc_ids, batch.lengths, target,
-                                 eta=eta, epsilon=args.epsilon)
+                                 eta=eta, epsilon=epsilon)
         tokens = sentence.split()
         lam = wr.lam.values[0, :len(tokens)]
         raw = wr.raw.values[0, :len(tokens)]
@@ -447,7 +460,7 @@ def cmd_lrp_inspect(args, cfg: ExperimentConfig) -> int:
                         "tokens": tokens,
                         "lambda": [round(float(x), 6) for x in lam],
                         "raw_relevance": [round(float(x), 8) for x in raw],
-                        "eta": eta, "epsilon": args.epsilon})
+                        "eta": eta, "epsilon": epsilon})
     write_text_atomic(run_dir / "relevance.jsonl",
                       "".join(json.dumps(rec) + "\n" for rec in records))
     return 0
@@ -475,8 +488,8 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
     run_dir = Path(args.run_dir)
     vocab = Vocabulary.load(require(run_dir / "vocab.txt", "vocabulary"))
     clf = load_classifier(run_dir / "classifier.ckpt", vocab)
-    variant = args.variant
-    ablation = resolve_ablation(variant)
+    ablation = cfg.stage2.ablation = stage2_ablation(args, cfg)
+    variant = ablation_name(ablation)
 
     test = load_split(cfg, vocab, "test")
     references = _load_references(cfg, test)
@@ -485,8 +498,7 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
         model, _ = load_seq2seq(run_dir / "stage1.ckpt", vocab, "stage1 checkpoint")
         styled = False
     else:
-        rc = cmd_train_stage2(argparse.Namespace(run_dir=args.run_dir, variant=variant),
-                              cfg)
+        rc = cmd_train_stage2(argparse.Namespace(run_dir=args.run_dir, variant=None), cfg)
         if rc != 0:
             return rc
         suffix = "" if variant == "full" else f".{variant}"
@@ -563,7 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("train-stage1", help="denoising reconstruction + relevance reprediction")
 
     p = sub.add_parser("train-stage2", help="fine-tune the style component")
-    p.add_argument("--variant", default="full", help="ablation variant name")
+    p.add_argument("--variant", default=None,
+                   help="ablation variant name (default: stage2.ablation)")
 
     p = sub.add_parser("transfer", help="rewrite sentences toward a target style")
     p.add_argument("--target-style", type=int, choices=(0, 1), required=True)
@@ -589,7 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", default=None,
                    help="scaling factor (default: the run's stage-1 eta, else, or with "
                         "--classifier, calibrated on the input against the explained labels)")
-    p.add_argument("--epsilon", type=float, default=0.3)
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="relevance mapping epsilon (default: the stage-1 checkpoint's when "
+                        "the run's eta is used, else lrp.epsilon)")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all losses")
     p.add_argument("--threshold", type=float, default=1e-3)
@@ -597,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coords-per-param", type=int, default=4)
 
     p = sub.add_parser("ablate", help="train and score an ablation variant")
-    p.add_argument("--variant", required=True)
+    p.add_argument("--variant", default=None,
+                   help="ablation variant name (default: stage2.ablation)")
     return parser
 
 

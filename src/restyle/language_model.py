@@ -81,15 +81,13 @@ class DirectionalLanguageModel(ParamMixin):
     # ------------------------------------------------------------------
     def _token_nll(self, batch, mask: np.ndarray) -> Tensor:
         """(B, S) next-token NLL, zero where ``mask`` is."""
-        B, S = batch.dec_inputs.shape
+        B = batch.dec_inputs.shape[0]
         emb = ad.gather_rows(self.params_["emb"], batch.dec_inputs)
-        h = constant(np.zeros((B, self.hidden_dim)))
-        logits = []
-        for j in range(S):
-            h = self.cell_(ad.narrow(emb, 1, j, 1).reshape(B, self.embed_dim), h)
-            logits.append((ad.matmul(h, self.params_["out.w"]) + self.params_["out.b"])
-                          .reshape(B, 1, self.vocab_size))
-        return ad.cross_entropy_with_indices(ad.concat(logits, axis=1), batch.targets, mask)
+        states = self.cell_.run(emb, constant(np.zeros((B, self.hidden_dim))))
+        return ad.cross_entropy_with_indices(self._logits(states), batch.targets, mask)
+
+    def _logits(self, h: Tensor) -> Tensor:
+        return ad.matmul(h, self.params_["out.w"]) + self.params_["out.b"]
 
     def fit(self, X):
         """Train on a single-style list of id sequences."""
@@ -134,8 +132,7 @@ class DirectionalLanguageModel(ParamMixin):
     def step_distribution(self, x_emb: Tensor, h: Tensor) -> tuple[Tensor, Tensor]:
         """One scoring step: returns (log-probabilities over V, next state)."""
         h = self.cell_(x_emb, h)
-        logits = ad.matmul(h, self.params_["out.w"]) + self.params_["out.b"]
-        return ad.log_softmax(logits, axis=-1), h
+        return ad.log_softmax(self._logits(h), axis=-1), h
 
 
 def fluency_loss(lm_forward: DirectionalLanguageModel,
@@ -181,8 +178,8 @@ def fluency_loss(lm_forward: DirectionalLanguageModel,
     dists3 = soft.stacked_dists()
     rev_rows3 = ad.matmul(constant(perm), rows3)
     rev_dists3 = ad.matmul(constant(perm), dists3)
-    rev_rows = [ad.narrow(rev_rows3, 1, j, 1).reshape(B, rows3.shape[2]) for j in range(T)]
-    rev_dists = [ad.narrow(rev_dists3, 1, j, 1).reshape(B, dists3.shape[2]) for j in range(T)]
+    rev_rows = [ad.select(rev_rows3, 1, j) for j in range(T)]
+    rev_dists = [ad.select(rev_dists3, 1, j) for j in range(T)]
     bwd = directional(lm_backward, rev_rows, rev_dists, mask)
 
     return (fwd + bwd) * 0.5

@@ -2,7 +2,9 @@
 component.
 
 The decoder input is the previous word embedding concatenated with the
-attention context. Attention is scored against the previous (revised) decoder
+attention context; its projection [x; c]·W is computed as x·W_emb + c·W_ctx
+over the two row blocks of W, so teacher forcing, whose inputs are all known,
+projects the embeddings of every step at once. Attention is scored against the previous (revised) decoder
 state, so the context is available before the GRU update. In basic mode the
 revised state equals the raw state; in styled mode the state is revised as
 h~ = h + gate * delta, where the gate is the head-predicted word relevance and
@@ -29,7 +31,7 @@ N_STYLES = 2
 class EncoderState:
     states: Tensor            # (B, T, H)
     final: Tensor             # (B, H) state at each sentence's last real token
-    attn_mask: np.ndarray     # (B, T) 1.0 on real tokens
+    score_bias: np.ndarray    # (B, 1, T) additive attention mask: 0 on real tokens
     score_proj: Tensor        # (B, T, A) cached W_e h^e_i
 
 
@@ -55,13 +57,13 @@ class SoftSentence:
     applied_gates: list = field(default_factory=list)  # values used in the revision
 
     def stacked_rows(self) -> Tensor:
-        return ad.concat([r.reshape(r.shape[0], 1, r.shape[1]) for r in self.rows], axis=1)
+        return ad.stack(self.rows, axis=1)
 
     def stacked_dists(self) -> Tensor:
-        return ad.concat([d.reshape(d.shape[0], 1, d.shape[1]) for d in self.dists], axis=1)
+        return ad.stack(self.dists, axis=1)
 
     def stacked_gates(self) -> Tensor:
-        return ad.concat([g.reshape(g.shape[0], 1) for g in self.gates], axis=1)
+        return ad.stack(self.gates, axis=1)
 
     def length_mask(self) -> np.ndarray:
         T = len(self.rows)
@@ -81,14 +83,28 @@ class GruCell:
         params[f"{prefix}.bh"] = parameter(np.zeros(3 * hidden_dim), name=f"{prefix}.bh")
         self.params = params
 
+    def project(self, x: Tensor) -> Tensor:
+        """Input projection x·W + b_i of (..., input_dim) inputs: one step's,
+        or every timestep's at once when the inputs are known in advance."""
+        return ad.matmul(x, self.params[f"{self.prefix}.w"]) + self.params[f"{self.prefix}.bi"]
+
+    def step(self, gi: Tensor, h: Tensor) -> Tensor:
+        """The recurrent update from a (B, 3H) input projection."""
+        return ad.gru_step(gi, h, self.params[f"{self.prefix}.u"],
+                           self.params[f"{self.prefix}.bh"])
+
     def __call__(self, x: Tensor, h: Tensor) -> Tensor:
-        H = self.hidden_dim
-        gi = ad.matmul(x, self.params[f"{self.prefix}.w"]) + self.params[f"{self.prefix}.bi"]
-        gh = ad.matmul(h, self.params[f"{self.prefix}.u"]) + self.params[f"{self.prefix}.bh"]
-        z = ad.sigmoid(ad.narrow(gi, 1, 0, H) + ad.narrow(gh, 1, 0, H))
-        r = ad.sigmoid(ad.narrow(gi, 1, H, H) + ad.narrow(gh, 1, H, H))
-        n = ad.tanh(ad.narrow(gi, 1, 2 * H, H) + r * ad.narrow(gh, 1, 2 * H, H))
-        return (1.0 - z) * n + z * h
+        return self.step(self.project(x), h)
+
+    def run(self, x: Tensor, h: Tensor) -> Tensor:
+        """States (B, T, H) over a (B, T, input_dim) sequence from ``h``, with
+        the input projection made once for all timesteps."""
+        gi = self.project(x)
+        states = []
+        for t in range(x.shape[1]):
+            h = self.step(ad.select(gi, 1, t), h)
+            states.append(h)
+        return ad.stack(states, axis=1)
 
 
 class Seq2seqModel:
@@ -160,38 +176,38 @@ class Seq2seqModel:
         if ids.ndim != 2:
             raise ValueError(f"encode: expected (B, T) ids, got shape {ids.shape}")
         B, T = ids.shape
-        emb = self.embed(ids)
-        h = constant(np.zeros((B, self.hidden_dim)))
-        states = []
-        for t in range(T):
-            x = ad.narrow(emb, 1, t, 1).reshape(B, self.embed_dim)
-            h = self.encoder_cell(x, h)
-            states.append(h.reshape(B, 1, self.hidden_dim))
-        hs = ad.concat(states, axis=1)
+        hs = self.encoder_cell.run(self.embed(ids), constant(np.zeros((B, self.hidden_dim))))
         pick = np.zeros((B, 1, T))
         pick[np.arange(B), 0, np.maximum(lengths - 1, 0)] = 1.0
         final = ad.matmul(constant(pick), hs).reshape(B, self.hidden_dim)
         mask = (np.arange(T)[None, :] < lengths[:, None]).astype(float)
+        score_bias = ((mask - 1.0) * ad.MASK_BIG).reshape(B, 1, T)
         score_proj = ad.matmul(hs, self.params["attn.we"])
-        return EncoderState(hs, final, mask, score_proj)
+        return EncoderState(hs, final, score_bias, score_proj)
 
     def attend(self, h_prev: Tensor, enc: EncoderState) -> tuple[Tensor, Tensor]:
+        """Returns (context (B, H), attention weights (B, T))."""
         B, T, _ = enc.states.shape
         query = (ad.matmul(h_prev, self.params["attn.wd"]) + self.params["attn.b"])
+        # scores shaped (B, 1, T): the weights are then already the row vectors
+        # the context product takes
         scores = ad.matmul(ad.tanh(enc.score_proj + query.reshape(B, 1, self.attn_dim)),
-                           self.params["attn.v"]).reshape(B, T)
-        scores = scores + constant((enc.attn_mask - 1.0) * ad.MASK_BIG)
-        weights = ad.softmax(scores, axis=-1)
-        context = ad.matmul(weights.reshape(B, 1, T), enc.states).reshape(B, self.hidden_dim)
-        return context, weights
+                           self.params["attn.v"]).reshape(B, 1, T)
+        weights = ad.softmax(scores, axis=-1, bias=enc.score_bias)
+        context = ad.matmul(weights, enc.states).reshape(B, self.hidden_dim)
+        return context, weights.reshape(B, T)
 
     def predict_relevance(self, h_prev: Tensor) -> Tensor:
-        """Gate in (0,1): sigmoid(v' tanh(W h + b) + b'). The raw bilinear form
-        is unbounded, but the gate and its mean-squared target both live in the
-        unit interval, hence the final squash."""
-        B = h_prev.shape[0]
+        """Gate in (0,1): sigmoid(v' tanh(W h + b) + b'), one per (..., H)
+        state. The raw bilinear form is unbounded, but the gate and its
+        mean-squared target both live in the unit interval, hence the final
+        squash."""
         hidden = ad.tanh(ad.matmul(h_prev, self.params["head.w"]) + self.params["head.b"])
-        return ad.sigmoid(ad.matmul(hidden, self.params["head.v"]) + self.params["head.vb"]).reshape(B)
+        return ad.sigmoid(ad.matmul(hidden, self.params["head.v"])
+                          + self.params["head.vb"]).reshape(h_prev.shape[:-1])
+
+    def output_logits(self, revised: Tensor) -> Tensor:
+        return ad.matmul(revised, self.params["out.w"]) + self.params["out.b"]
 
     def delta_h(self, x_emb: Tensor, h_prev: Tensor, style_ids: np.ndarray) -> Tensor:
         if not np.isin(style_ids, np.arange(N_STYLES)).all():
@@ -201,12 +217,29 @@ class Seq2seqModel:
         hidden = ad.tanh(ad.matmul(inp, self.params["style.w1"]) + self.params["style.b1"])
         return ad.matmul(hidden, self.params["style.w2"]) + self.params["style.b2"]
 
+    def decoder_input_weights(self) -> tuple[Tensor, Tensor]:
+        """``dec.w`` split into its embedding rows and its context rows."""
+        w = self.params["dec.w"]
+        return (ad.narrow(w, 0, 0, self.embed_dim),
+                ad.narrow(w, 0, self.embed_dim, self.hidden_dim))
+
+    def advance(self, x_proj: Tensor, h_prev: Tensor, enc: EncoderState,
+                w_ctx: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """The decoder recurrence, shared by every decoding mode: attention
+        scored against ``h_prev``, then the GRU update on the input projection
+        ``x_proj + context·W_ctx``, where ``x_proj = x·W_emb + b_i`` is the
+        embedding part. Returns (state, context, attention weights)."""
+        context, weights = self.attend(h_prev, enc)
+        h = self.decoder_cell.step(x_proj + ad.matmul(context, w_ctx), h_prev)
+        return h, context, weights
+
     def decode_step(self, x_emb: Tensor, h_prev: Tensor, enc: EncoderState,
                     style_ids: np.ndarray | None = None, styled: bool = False,
                     gate_override: float | None = None) -> DecoderStep:
         B = x_emb.shape[0]
-        context, weights = self.attend(h_prev, enc)
-        h = self.decoder_cell(ad.concat([x_emb, context], axis=1), h_prev)
+        w_emb, w_ctx = self.decoder_input_weights()
+        x_proj = ad.matmul(x_emb, w_emb) + self.params["dec.bi"]
+        h, context, weights = self.advance(x_proj, h_prev, enc, w_ctx)
         gate = self.predict_relevance(h_prev)
         applied = gate
         if styled:
@@ -218,26 +251,27 @@ class Seq2seqModel:
             revised = h + applied.reshape(B, 1) * delta
         else:
             revised = h
-        logits = ad.matmul(revised, self.params["out.w"]) + self.params["out.b"]
-        return DecoderStep(h, revised, context, weights, logits, gate, applied)
+        return DecoderStep(h, revised, context, weights, self.output_logits(revised), gate,
+                           applied)
 
     # ------------------------------------------------------------------
-    def teacher_forced_pass(self, batch, corrupted_enc_ids: np.ndarray | None = None,
-                            styled: bool = False, style_ids: np.ndarray | None = None):
-        """Decode with gold inputs; returns (logits (B,T+1,V), gates (B,T+1))."""
+    def teacher_forced_pass(self, batch, corrupted_enc_ids: np.ndarray | None = None):
+        """Basic-mode decoding with gold inputs; returns (logits (B,S,V),
+        gates (B,S)). Only the recurrence runs per step: the embedding rows'
+        input projection is made for all S inputs before it, and the output
+        layer and relevance head run once over the stacked states after it."""
         enc_ids = batch.enc_ids if corrupted_enc_ids is None else corrupted_enc_ids
         enc = self.encode(enc_ids, batch.lengths)
-        B, S = batch.dec_inputs.shape
-        emb = self.embed(batch.dec_inputs)
+        w_emb, w_ctx = self.decoder_input_weights()
+        x_proj = ad.matmul(self.embed(batch.dec_inputs), w_emb) + self.params["dec.bi"]
         h = enc.final
-        logits, gates = [], []
-        for j in range(S):
-            x = ad.narrow(emb, 1, j, 1).reshape(B, self.embed_dim)
-            step = self.decode_step(x, h, enc, style_ids=style_ids, styled=styled)
-            h = step.revised
-            logits.append(step.logits.reshape(B, 1, self.vocab_size))
-            gates.append(step.gate.reshape(B, 1))
-        return ad.concat(logits, axis=1), ad.concat(gates, axis=1)
+        prev, states = [], []
+        for j in range(batch.dec_inputs.shape[1]):
+            prev.append(h)
+            h = self.advance(ad.select(x_proj, 1, j), h, enc, w_ctx)[0]
+            states.append(h)
+        return (self.output_logits(ad.stack(states, axis=1)),
+                self.predict_relevance(ad.stack(prev, axis=1)))
 
     def generate_greedy(self, ids: np.ndarray, lengths: np.ndarray,
                         target_style: int | np.ndarray | None = None,

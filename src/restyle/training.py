@@ -53,6 +53,12 @@ ABLATION_ALIASES = {
 }
 
 
+def ablation_name(flags: frozenset) -> str:
+    """Canonical name of a set of ablation flags: 'full' for none, else the
+    variant names joined by '+'."""
+    return "+".join(sorted(name for name, f in ABLATION_VARIANTS.items() if f <= flags)) or "full"
+
+
 def resolve_ablation(variant: str) -> frozenset:
     key = variant.strip().lower()
     key = ABLATION_ALIASES.get(key, key)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from restyle import autodiff as ad
+
 
 def naive_zrule(v_in, weights, r_out, stabilizer):
     """Literal edge-by-edge transcription of the proportional relevance split."""
@@ -35,3 +37,16 @@ def random_two_layer_net(rng, min_denom=1e-2):
         d2 = np.abs(v1 @ w2).min()
         if min(d1, d2) >= min_denom:
             return v0, w1, v1, w2
+
+
+def composed_gru(gi, h, u, bh):
+    """The GRU update built from elementwise autodiff ops, gate columns in
+    z|r|n order; ``autodiff.gru_step`` must give the same values."""
+    from restyle import autodiff as ad
+
+    H = h.shape[-1]
+    gh = ad.matmul(h, u) + bh
+    z = ad.sigmoid(ad.narrow(gi, 1, 0, H) + ad.narrow(gh, 1, 0, H))
+    r = ad.sigmoid(ad.narrow(gi, 1, H, H) + ad.narrow(gh, 1, H, H))
+    n = ad.tanh(ad.narrow(gi, 1, 2 * H, H) + r * ad.narrow(gh, 1, 2 * H, H))
+    return (1.0 - z) * n + z * h

@@ -1,5 +1,8 @@
+import threading
+
 import numpy as np
 import pytest
+from _oracles import composed_gru
 from hypothesis import given, settings, strategies as st
 
 from restyle import autodiff as ad
@@ -29,6 +32,7 @@ from restyle.autodiff import (
     unfold,
     fold,
 )
+from restyle.seq2seq import GruCell
 
 
 def rand(rng, *shape):
@@ -255,27 +259,135 @@ class TestIndexingOps:
 
 class TestGruCellGradient:
     def test_gru_cell_single_step(self):
+        # the model's cell, with its input and previous state trainable as in
+        # the decoder, and nonzero biases
         rng = np.random.default_rng(11)
-        H, E = 4, 3
-        w = parameter(rand(rng, E, 3 * H))
-        u = parameter(rand(rng, H, 3 * H))
-        bi = parameter(rand(rng, 3 * H))
-        bh = parameter(rand(rng, 3 * H))
-        x = constant(rand(rng, 2, E))
-        h0 = constant(rand(rng, 2, H))
+        params = {}
+        cell = GruCell(params, "g", 3, 4, rng)
+        for p in params.values():
+            p.values[...] = rand(rng, *p.shape)
+        x = parameter(rand(rng, 2, 3))
+        h0 = parameter(rand(rng, 2, 4))
+        coef = constant(rand(rng, 2, 4))
 
         def loss_fn():
-            gi = matmul(x, w) + bi
-            gh = matmul(h0, u) + bh
-            z = sigmoid(ad.narrow(gi, 1, 0, H) + ad.narrow(gh, 1, 0, H))
-            r = sigmoid(ad.narrow(gi, 1, H, H) + ad.narrow(gh, 1, H, H))
-            n = tanh(ad.narrow(gi, 1, 2 * H, H) + r * ad.narrow(gh, 1, 2 * H, H))
-            h = (1.0 - z) * n + z * h0
-            return tsum(h * h)
+            h = cell(x, h0)
+            return tsum(h * h + h * coef)
 
-        err = finite_difference_check(loss_fn, [w, u, bi, bh], step=1e-5,
+        err = finite_difference_check(loss_fn, [*params.values(), x, h0], step=1e-5,
                                       max_coords_per_param=16)
-        assert err < 1e-4
+        assert err < 1e-6
+
+    def test_gru_step_gradient_in_every_input(self):
+        rng = np.random.default_rng(12)
+        H = 3
+        gi = parameter(rand(rng, 2, 3 * H))
+        h = parameter(rand(rng, 2, H))
+        u = parameter(rand(rng, H, 3 * H))
+        bh = parameter(rand(rng, 3 * H))
+        coef = constant(rand(rng, 2, H))
+
+        def loss_fn():
+            return tsum(tanh(ad.gru_step(gi, h, u, bh)) * coef)
+
+        err = finite_difference_check(loss_fn, [gi, h, u, bh], step=1e-5,
+                                      max_coords_per_param=27)
+        assert err < 1e-6
+
+    def test_saturated_preactivations(self):
+        # pre-activations of +-50 saturate every gate: no overflow, the values of
+        # the composed definition bit for bit, and the same finite gradients
+        rng = np.random.default_rng(13)
+        H = 4
+        gi_v = rng.choice([-50.0, 50.0], size=(3, 3 * H))
+        h_v, u_v, bh_v = rand(rng, 3, H), rand(rng, H, 3 * H), rand(rng, 3 * H)
+        grads = []
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for step in (ad.gru_step, composed_gru):
+                gi, h, u, bh = (parameter(v.copy()) for v in (gi_v, h_v, u_v, bh_v))
+                out = step(gi, h, u, bh)
+                backward(tsum(out * out))
+                grads.append((out.values, gi.grad, h.grad, u.grad, bh.grad))
+        fused, composed = grads
+        np.testing.assert_array_equal(fused[0], composed[0])
+        for a, b in zip(fused[1:], composed[1:]):
+            assert np.isfinite(a).all()
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+    def test_values_equal_composed_definition(self):
+        rng = np.random.default_rng(14)
+        H = 5
+        args = [constant(rand(rng, 4, 3 * H)), constant(rand(rng, 4, H)),
+                constant(rand(rng, H, 3 * H)), constant(rand(rng, 3 * H))]
+        np.testing.assert_array_equal(ad.gru_step(*args).values, composed_gru(*args).values)
+
+    def test_frozen_weights_keep_zero_grads_and_pass_gradient_to_state(self):
+        # a frozen language model scoring soft input: u and b_h take no
+        # gradient, the state and the input projection still do
+        rng = np.random.default_rng(15)
+        H = 3
+        u, bh = parameter(rand(rng, H, 3 * H)), parameter(rand(rng, 3 * H))
+        u.requires_grad = bh.requires_grad = False
+        gi, h = parameter(rand(rng, 2, 3 * H)), parameter(rand(rng, 2, H))
+        backward(tsum(ad.gru_step(gi, h, u, bh)))
+        np.testing.assert_array_equal(u.grad, 0.0)
+        np.testing.assert_array_equal(bh.grad, 0.0)
+        assert np.abs(h.grad).min() > 0.0
+        assert np.abs(gi.grad).max() > 0.0
+
+
+class TestMatmulBatchedBackward:
+    def test_two_d_right_operand_matches_broadcast_sum(self):
+        # the folded products equal the per-batch product summed over the batch
+        rng = np.random.default_rng(16)
+        a = parameter(rand(rng, 3, 4, 5, 6))
+        b = parameter(rand(rng, 6, 7))
+        coef = rand(rng, 3, 4, 5, 7)
+        backward(tsum(matmul(a, b) * constant(coef)))
+        np.testing.assert_allclose(a.grad, np.matmul(coef, b.values.T), rtol=0, atol=1e-12)
+        old = np.matmul(np.swapaxes(a.values, -1, -2), coef).sum(axis=(0, 1))
+        np.testing.assert_allclose(b.grad, old, rtol=0, atol=1e-12)
+
+
+class TestStackSelect:
+    def test_select_inverts_stack_and_routes_gradient(self):
+        rng = np.random.default_rng(17)
+        parts = [parameter(rand(rng, 2, 3)) for _ in range(4)]
+        stacked = ad.stack(parts, axis=1)
+        assert stacked.shape == (2, 4, 3)
+        np.testing.assert_array_equal(ad.select(stacked, 1, 2).values, parts[2].values)
+        backward(tsum(ad.select(stacked, 1, 2) * constant(np.full((2, 3), 3.0))))
+        np.testing.assert_array_equal(parts[2].grad, 3.0)
+        for i in (0, 1, 3):
+            np.testing.assert_array_equal(parts[i].grad, 0.0)
+
+
+class TestNoGradThreads:
+    def test_no_grad_in_one_thread_leaves_another_tracing(self):
+        inside, release = threading.Event(), threading.Event()
+        traced_inside = []
+
+        def hold():
+            with ad.no_grad():
+                w = parameter(np.ones(2))
+                traced_inside.append(bool((w * 2.0)._parents))
+                inside.set()
+                release.wait(10)
+
+        worker = threading.Thread(target=hold)
+        worker.start()
+        try:
+            assert inside.wait(10)
+            w = parameter(np.ones(2))
+            y = w * 2.0
+            assert y._parents
+            backward(tsum(y))
+            np.testing.assert_array_equal(w.grad, [2.0, 2.0])
+        finally:
+            release.set()
+            worker.join(10)
+        assert not worker.is_alive()
+        assert traced_inside == [False]
 
 
 class TestDeterminism:

@@ -191,6 +191,25 @@ class TestPipelineCommands:
         assert (work / "stage2.no-lxlambda.ckpt").exists()
         capsys.readouterr()
 
+    def test_05e_train_stage2_reads_the_ablation_key(self, cli_env, capsys, tmp_path):
+        names = ["vocab.txt", "classifier.ckpt", "stage1.ckpt", *LM_NAMES]
+        hashes = []
+        for tag, extra in (("key", ["--set", "stage2.ablation=nsc-lambda", "train-stage2"]),
+                           ("flag", ["train-stage2", "--variant", "nsc-lambda"])):
+            work = copy_run(cli_env, tmp_path / tag, names)
+            assert main(["--config", cli_env["config"], "--run-dir", str(work), *extra]) == 0
+            assert not (work / "stage2.ckpt").exists()
+            hashes.append(checkpoint_hash(work / "stage2.nsc-lambda.ckpt"))
+        assert hashes[0] == hashes[1]
+        # the flag wins over the key
+        work = tmp_path / "key"
+        assert main(["--config", cli_env["config"], "--run-dir", str(work),
+                     "--set", "stage2.ablation=nsc-lambda", "train-stage2",
+                     "--variant", "full"]) == 0
+        assert checkpoint_hash(work / "stage2.ckpt") == checkpoint_hash(
+            Path(cli_env["run_dir"]) / "stage2.ckpt")
+        capsys.readouterr()
+
     def test_06_transfer_with_relevance_dump(self, cli_env, capsys):
         src = Path(cli_env["run_dir"]) / "transfer_in.txt"
         src.write_text("the food was awful .\nmy room looked dreadful today .\n")
@@ -332,6 +351,33 @@ class TestPipelineCommands:
         assert eta == expected
         assert self._inspect_eta(cli_env, run_dir, "--classifier", str(other),
                                  "--eta", "2.5")[0] == 2.5
+
+    def test_09f_lrp_inspect_uses_the_run_epsilon(self, cli_env, capsys, tmp_path):
+        from restyle.checkpoint import load_checkpoint
+
+        src = Path(cli_env["root"]) / "inspect_eps_in.txt"
+        src.write_text("the food was great .\n")
+
+        def inspect(run_dir, *extra, flags=()):
+            assert main(["--config", cli_env["config"], "--run-dir", str(run_dir), *extra,
+                         "lrp-inspect", "--input", str(src), *flags]) == 0
+            line = (run_dir / "relevance.jsonl").read_text().splitlines()[0]
+            return json.loads(line)["epsilon"]
+
+        work = copy_run(cli_env, tmp_path / "run", ["vocab.txt", "classifier.ckpt"])
+        # before stage 1 the config's epsilon applies
+        assert inspect(work) == 0.3
+        assert inspect(work, "--set", "lrp.epsilon=0.4") == 0.4
+        assert main(["--config", cli_env["config"], "--run-dir", str(work),
+                     "--set", "lrp.epsilon=0.5", "--set", "stage1.epochs=1",
+                     "train-stage1"]) == 0
+        assert load_checkpoint(work / "stage1.ckpt")[0]["epsilon"] == 0.5
+        # the run's eta comes with the epsilon it was trained under
+        assert inspect(work) == 0.5
+        assert inspect(work, flags=("--epsilon", "0.2")) == 0.2
+        # an eta given by hand is not the run's, nor is its epsilon
+        assert inspect(work, flags=("--eta", "2.5")) == 0.3
+        capsys.readouterr()
 
     def test_09d_evaluate_lowercases_references(self, cli_env, capsys, tmp_path):
         # data.lowercase defaults to true: outputs and references compare in lower case

@@ -141,6 +141,42 @@ class TestDecodeStep:
         assert err < 1e-4
 
 
+class TestTeacherForcing:
+    def _loop(self, model, batch):
+        """Teacher forcing spelled out as one basic ``decode_step`` per position."""
+        enc = model.encode(batch.enc_ids, batch.lengths)
+        h = enc.final
+        logits, gates = [], []
+        for j in range(batch.dec_inputs.shape[1]):
+            step = model.decode_step(model.embed(batch.dec_inputs[:, j]), h, enc)
+            h = step.revised
+            logits.append(step.logits)
+            gates.append(step.gate)
+        return ad.stack(logits, axis=1), ad.stack(gates, axis=1)
+
+    def test_pass_equals_decode_step_loop(self, tiny_model):
+        # the hoisted projections and output layers give the step loop's values
+        # and parameter gradients
+        rng = np.random.default_rng(4)
+        for p in tiny_model.params.values():
+            p.values[...] = rng.uniform(-0.5, 0.5, size=p.shape)
+        batch = tiny_batch()
+        coef = constant(rng.uniform(-1, 1, size=(2, batch.dec_inputs.shape[1], 12)))
+        results = []
+        for run in (tiny_model.teacher_forced_pass, lambda b: self._loop(tiny_model, b)):
+            logits, gates = run(batch)
+            ad.backward((logits * coef).sum() + (gates * gates).sum())
+            results.append((logits.values, gates.values,
+                            {k: p.grad.copy() for k, p in tiny_model.params.items()}))
+            for p in tiny_model.params.values():
+                p.zero_grad()
+        (la, ga, grads_a), (lb, gb, grads_b) = results
+        np.testing.assert_allclose(la, lb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ga, gb, rtol=0, atol=1e-12)
+        for k in grads_a:
+            np.testing.assert_allclose(grads_a[k], grads_b[k], rtol=0, atol=1e-12, err_msg=k)
+
+
 class TestGenerate:
     def test_greedy_deterministic(self, tiny_model):
         batch = pack_batch([[4, 5, 6, 7]])

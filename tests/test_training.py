@@ -125,6 +125,25 @@ class TestStage1:
         assert br.total == pytest.approx(br.l_sr, abs=1e-12)
 
 
+class TestStage1Graph:
+    def test_loss_graph_size(self):
+        # one traced op per GRU update and nothing but the recurrence per
+        # decoder step: 21 updates for 10-token sentences at the default widths
+        model = Seq2seqModel(vocab_size=30, seed=0)
+        batch = pack_batch([list(range(4, 14)), list(range(5, 15))])
+        lam_x = np.zeros(batch.enc_ids.shape)
+        l_sr, l_xlambda = training.stage1_losses(model, batch, lam_x)
+        loss = l_sr + l_xlambda
+        seen, stack = {id(loss)}, [loss]
+        while stack:
+            for p in stack.pop()._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        assert batch.enc_ids.shape[1] == 10
+        assert len(seen) <= 250
+
+
 class TestStage2:
     def test_loss_accounting_to_1e12(self, vocab, small_classifier, lam_cache,
                                      encoded_train):

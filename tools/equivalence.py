@@ -15,6 +15,8 @@ records:
 * ``stage2``: the loss totals of ``--steps`` steps of ``Stage2Trainer`` on the
   stage-1 model at the ``finetune`` workload's settings (Adam), and the
   model's final ``params_hash``;
+* for both stages, every trained parameter's gradient at the first step,
+  before clipping (kept beside the record, not in it);
 * ``lm``: the dev perplexity of each pickled LM; and of each LM fit again with
   its workload settings and seed, with the refit weights' hash;
 * ``cli``: ``train-classifier``, ``train-lm``, ``train-stage1`` and
@@ -24,7 +26,12 @@ records:
   column of both ``train_log`` CSVs and a hash of the corpus files.
 
 The result holds, per seed, both records and whether the loss totals and
-hashes are identical, with the largest relative perplexity gap.
+hashes are identical, each step's relative loss-total gap, the largest
+relative perplexity gap, and per stage the first step's largest gradient gap
+relative to the parent gradient's norm, ``max |g_change - g_parent| /
+||g_parent||`` over each parameter's entries. Both sides start from the same
+values there, so that gap is the change's own rounding in the backward pass,
+before an optimizer amplifies it from step to step.
 ``tools/paired_bench.py summary --equivalence`` includes it in a BENCH file.
 """
 
@@ -41,6 +48,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 STAGE1_SEED = 7
 
@@ -104,6 +113,22 @@ def worker_start(checkout: Path, seed: int, out: Path) -> None:
     out.write_bytes(pickle.dumps((models, fresh)))
 
 
+def record_first_grads(optimizer, params: dict) -> dict:
+    """Make ``optimizer`` copy each of ``params``' gradients, before clipping,
+    into the returned dict at its first step."""
+    grads = {}
+    step = optimizer.step
+    trained = {id(p) for p in optimizer.params}
+
+    def first_step():
+        if not grads:
+            grads.update({k: p.grad.copy() for k, p in params.items() if id(p) in trained})
+        return step()
+
+    optimizer.step = first_step
+    return grads
+
+
 def worker_record(checkout: Path, seed: int, start: Path, steps: int, out: Path) -> None:
     workloads = _import_from(checkout)
     from restyle import data, training
@@ -118,6 +143,7 @@ def worker_record(checkout: Path, seed: int, start: Path, steps: int, out: Path)
     trainer = training.Stage1Trainer(fresh, models.clf, models.cache, cfg, corpus.train)
     batcher = data.Batcher(corpus.train, cfg.batch_size, cfg.max_len, seed=STAGE1_SEED)
     batches = itertools.chain.from_iterable(batcher.epoch() for _ in itertools.count())
+    grads1 = record_first_grads(trainer.optimizer, fresh.params)
     for _ in range(steps):
         trainer.step(next(batches))
     record["stage1"] = {"loss_totals": [row["total"] for row in trainer.log.rows],
@@ -137,10 +163,34 @@ def worker_record(checkout: Path, seed: int, start: Path, steps: int, out: Path)
             "refit_weights_hash": refit.weights_hash()}
 
     trainer = workloads.stage2_trainer(models, corpus, seed, workloads.FINETUNE_MAX_LEN)
+    grads2 = record_first_grads(trainer.optimizer, models.model.params)
     trainer.train(max_steps=steps)
     record["stage2"] = {"loss_totals": [row["total"] for row in trainer.log.rows],
                         "params_hash": params_hash(models.model.params)}
     out.write_text(json.dumps(record))
+    np.savez(grads_path(out), **{f"stage1/{k}": g for k, g in grads1.items()},
+             **{f"stage2/{k}": g for k, g in grads2.items()})
+
+
+def grads_path(record: Path) -> Path:
+    return record.with_suffix(".grads.npz")
+
+
+def gradient_gaps(parent: Path, change: Path, stage: str) -> dict:
+    """Per parameter of ``stage``: max |g_change - g_parent| / ||g_parent||."""
+    with np.load(grads_path(parent)) as p, np.load(grads_path(change)) as c:
+        gaps = {}
+        for key in p.files:
+            if key.startswith(f"{stage}/"):
+                norm = float(np.linalg.norm(p[key]))
+                gap = float(np.abs(c[key] - p[key]).max())
+                gaps[key.split("/", 1)[1]] = gap / norm if norm else gap
+    worst = max(gaps, key=gaps.get)
+    return {"max": gaps[worst], "param": worst, "per_param": gaps}
+
+
+def loss_gaps(parent: list, change: list) -> list:
+    return [abs(c - p) / abs(p) for p, c in zip(parent, change, strict=True)]
 
 
 def worker_cli(checkout: Path, seed: int, work: Path, out: Path) -> None:
@@ -191,9 +241,10 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
         rec[tag] = json.loads(out.read_text())
         work = tmp / f"cli-{tag}"
         _run("--worker", "cli", "--checkout", checkout, "--seed", seed, "--start", work,
-             "--out", out)
-        rec[tag]["cli"] = json.loads(out.read_text())
+             "--out", tmp / f"cli-{tag}.json")
+        rec[tag]["cli"] = json.loads((tmp / f"cli-{tag}.json").read_text())
     p, c = rec["parent"], rec["change"]
+    records = (tmp / "record-parent.json", tmp / "record-change.json")
     ppl_gap = max(abs(p["lm"][k][f] - c["lm"][k][f]) / p["lm"][k][f]
                   for k in p["lm"]
                   for f in ("dev_perplexity", "refit_dev_perplexity", "refit_held_out_perplexity"))
@@ -202,6 +253,12 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
         "steps": steps,
         "stage1_identical": p["stage1"] == c["stage1"],
         "stage2_identical": p["stage2"] == c["stage2"],
+        "stage1_relative_loss_gaps": loss_gaps(p["stage1"]["loss_totals"],
+                                               c["stage1"]["loss_totals"]),
+        "stage2_relative_loss_gaps": loss_gaps(p["stage2"]["loss_totals"],
+                                               c["stage2"]["loss_totals"]),
+        "stage1_first_step_grad_gap": gradient_gaps(*records, "stage1"),
+        "stage2_first_step_grad_gap": gradient_gaps(*records, "stage2"),
         "lm_refit_weights_identical": all(p["lm"][k]["refit_weights_hash"]
                                           == c["lm"][k]["refit_weights_hash"] for k in p["lm"]),
         "lm_max_relative_perplexity_gap": ppl_gap,
