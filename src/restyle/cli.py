@@ -449,7 +449,7 @@ def cmd_lrp_inspect(args, cfg: ExperimentConfig) -> int:
     for sentence, ids, target in zip(sentences, encoded, targets):
         batch = pack_batch([ids], min_width=max(clf.filter_widths))
         wr = hard_word_relevance(clf, batch.enc_ids, batch.lengths, target,
-                                 eta=eta, epsilon=epsilon)
+                                 eta=eta, epsilon=epsilon, stabilizer=cfg.lrp.stabilizer)
         tokens = sentence.split()
         lam = wr.lam.values[0, :len(tokens)]
         raw = wr.raw.values[0, :len(tokens)]

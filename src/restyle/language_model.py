@@ -1,9 +1,11 @@
 """Directional GRU language models and the fluency loss.
 
 One forward and one backward model are trained per style; the backward model
-simply consumes reversed sequences. During stage 2 both are frozen and score
-soft sentences token by token, consuming the expected embedding of each prior
-soft word.
+simply consumes reversed sequences. Training, perplexity and the stage-2
+fluency loss share one forward, ``logits``: a whole sequence of input
+embeddings through the GRU and the output layer in one pass. During stage 2
+both models are frozen and score each soft sentence in that one pass, fed the
+expected embedding of each prior soft word.
 """
 
 from __future__ import annotations
@@ -79,15 +81,16 @@ class DirectionalLanguageModel(ParamMixin):
         return seqs
 
     # ------------------------------------------------------------------
+    def logits(self, x_emb: Tensor) -> Tensor:
+        """(B, S, V) next-token logits after each of (B, S, E) input
+        embeddings, run from the zero state."""
+        h0 = constant(np.zeros((x_emb.shape[0], self.hidden_dim)))
+        return ad.matmul(self.cell_.run(x_emb, h0), self.params_["out.w"]) + self.params_["out.b"]
+
     def _token_nll(self, batch, mask: np.ndarray) -> Tensor:
         """(B, S) next-token NLL, zero where ``mask`` is."""
-        B = batch.dec_inputs.shape[0]
         emb = ad.gather_rows(self.params_["emb"], batch.dec_inputs)
-        states = self.cell_.run(emb, constant(np.zeros((B, self.hidden_dim))))
-        return ad.cross_entropy_with_indices(self._logits(states), batch.targets, mask)
-
-    def _logits(self, h: Tensor) -> Tensor:
-        return ad.matmul(h, self.params_["out.w"]) + self.params_["out.b"]
+        return ad.cross_entropy_with_indices(self.logits(emb), batch.targets, mask)
 
     def fit(self, X):
         """Train on a single-style list of id sequences."""
@@ -128,12 +131,6 @@ class DirectionalLanguageModel(ParamMixin):
                 total_tokens += int(mask.sum())
         return float(np.exp(total_nll / max(total_tokens, 1)))
 
-    # ------------------------------------------------------------------
-    def step_distribution(self, x_emb: Tensor, h: Tensor) -> tuple[Tensor, Tensor]:
-        """One scoring step: returns (log-probabilities over V, next state)."""
-        h = self.cell_(x_emb, h)
-        return ad.log_softmax(self._logits(h), axis=-1), h
-
 
 def fluency_loss(lm_forward: DirectionalLanguageModel,
                  lm_backward: DirectionalLanguageModel,
@@ -141,7 +138,9 @@ def fluency_loss(lm_forward: DirectionalLanguageModel,
     """Average of forward and backward distribution cross-entropies.
 
     Each term is sum_j H(P_model(.|y_<j), P_lm(.|context)), with the language
-    model fed the expected embedding of each prior soft word.
+    model fed the expected embedding of each prior soft word. Each model reads
+    the whole soft sentence in one pass of ``logits``; the backward model reads
+    it reversed within each row's realized length.
     """
     if lm_forward.style != target_style or lm_backward.style != target_style:
         raise ValueError(
@@ -154,32 +153,21 @@ def fluency_loss(lm_forward: DirectionalLanguageModel,
     mask = soft.length_mask()
     n_sentences = max(int((soft.lengths > 0).sum()), 1)
 
-    def directional(lm: DirectionalLanguageModel, rows, dists, step_mask) -> Tensor:
-        h = constant(np.zeros((B, lm.hidden_dim)))
-        x = ad.gather_rows(lm.params_["emb"], np.full(B, BOS, dtype=np.int64))
-        total = None
-        for j in range(T):
-            logq, h = lm.step_distribution(x, h)
-            ce = ad.neg(ad.tsum(dists[j] * logq, axis=-1)) * constant(step_mask[:, j])
-            total = ce if total is None else total + ce
-            x = ad.matmul(rows[j], lm.params_["emb"])
+    def directional(lm: DirectionalLanguageModel, rows3: Tensor, dists3: Tensor) -> Tensor:
+        emb = lm.params_["emb"]
+        bos = ad.gather_rows(emb, np.full((B, 1), BOS, dtype=np.int64))
+        x = ad.concat([bos, ad.matmul(ad.narrow(rows3, 1, 0, T - 1), emb)], axis=1)
+        ce = ad.cross_entropy_with_dist(dists3, lm.logits(x)) * constant(mask)
         # per-sentence sums averaged over sentences with nonzero length
-        return total.sum() * (1.0 / n_sentences)
+        return ce.sum() * (1.0 / n_sentences)
 
-    fwd = directional(lm_forward, soft.rows, soft.dists, mask)
-
-    # reversed-within-realized-length view of the soft sentence
-    perm = np.zeros((B, T, T))
-    for b in range(B):
-        L = soft.lengths[b]
-        for j in range(L):
-            perm[b, j, L - 1 - j] = 1.0
     rows3 = soft.stacked_rows()
     dists3 = soft.stacked_dists()
-    rev_rows3 = ad.matmul(constant(perm), rows3)
-    rev_dists3 = ad.matmul(constant(perm), dists3)
-    rev_rows = [ad.select(rev_rows3, 1, j) for j in range(T)]
-    rev_dists = [ad.select(rev_dists3, 1, j) for j in range(T)]
-    bwd = directional(lm_backward, rev_rows, rev_dists, mask)
-
+    # reversed-within-realized-length view of the soft sentence
+    b, j = np.nonzero(mask)
+    perm = np.zeros((B, T, T))
+    perm[b, j, soft.lengths[b] - 1 - j] = 1.0
+    reverse = constant(perm)
+    fwd = directional(lm_forward, rows3, dists3)
+    bwd = directional(lm_backward, ad.matmul(reverse, rows3), ad.matmul(reverse, dists3))
     return (fwd + bwd) * 0.5

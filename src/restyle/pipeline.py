@@ -87,7 +87,7 @@ def resolve_eta(cfg: ExperimentConfig, clf: TextCnnStyleClassifier, corpus: Labe
     if cfg.lrp.eta == "auto":
         return calibrate_eta(clf, corpus.sentences, corpus.labels,
                              target_lambda=cfg.lrp.eta_target,
-                             seed=cfg.seed_for("eta"))
+                             stabilizer=cfg.lrp.stabilizer, seed=cfg.seed_for("eta"))
     return float(cfg.lrp.eta)
 
 

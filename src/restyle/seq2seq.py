@@ -27,6 +27,15 @@ from restyle.data import BOS, EOS, PAD
 N_STYLES = 2
 
 
+def target_style_ids(target_style, batch_size: int) -> np.ndarray:
+    """(B,) style ids from one style or one per row, each checked to be a
+    known style; a generation checks them once, not at every step."""
+    style_ids = np.broadcast_to(np.asarray(target_style, dtype=np.int64), (batch_size,)).copy()
+    if not np.isin(style_ids, np.arange(N_STYLES)).all():
+        raise ValueError(f"unknown style id in {np.unique(style_ids)}")
+    return style_ids
+
+
 @dataclass
 class EncoderState:
     states: Tensor            # (B, T, H)
@@ -92,9 +101,6 @@ class GruCell:
         """The recurrent update from a (B, 3H) input projection."""
         return ad.gru_step(gi, h, self.params[f"{self.prefix}.u"],
                            self.params[f"{self.prefix}.bh"])
-
-    def __call__(self, x: Tensor, h: Tensor) -> Tensor:
-        return self.step(self.project(x), h)
 
     def run(self, x: Tensor, h: Tensor) -> Tensor:
         """States (B, T, H) over a (B, T, input_dim) sequence from ``h``, with
@@ -210,8 +216,6 @@ class Seq2seqModel:
         return ad.matmul(revised, self.params["out.w"]) + self.params["out.b"]
 
     def delta_h(self, x_emb: Tensor, h_prev: Tensor, style_ids: np.ndarray) -> Tensor:
-        if not np.isin(style_ids, np.arange(N_STYLES)).all():
-            raise ValueError(f"unknown style id in {np.unique(style_ids)}")
         s_emb = ad.gather_rows(self.params["style.emb"], style_ids)
         inp = ad.concat([x_emb, h_prev, s_emb], axis=1)
         hidden = ad.tanh(ad.matmul(inp, self.params["style.w1"]) + self.params["style.b1"])
@@ -281,9 +285,7 @@ class Seq2seqModel:
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         B = ids.shape[0]
-        style_ids = None
-        if styled:
-            style_ids = np.broadcast_to(np.asarray(target_style, dtype=np.int64), (B,)).copy()
+        style_ids = target_style_ids(target_style, B) if styled else None
         with ad.no_grad():
             enc = self.encode(ids, lengths)
             h = enc.final
@@ -326,7 +328,7 @@ class Seq2seqModel:
         if tau <= 0:
             raise ValueError(f"tau must be positive, got {tau}")
         B = ids.shape[0]
-        style_ids = np.broadcast_to(np.asarray(target_style, dtype=np.int64), (B,)).copy()
+        style_ids = target_style_ids(target_style, B)
         enc = self.encode(ids, lengths)
         h = enc.final
         x = self.embed(np.full(B, BOS, dtype=np.int64))

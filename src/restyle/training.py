@@ -169,14 +169,15 @@ class TrainLog:
 class LambdaTargetCache:
     """Propagation-derived relevance targets, computed once per sentence.
 
-    Keyed by the frozen classifier's weight hash and the (eta, epsilon)
-    mapping, so a stale cache can never serve a retrained classifier.
+    Entries are keyed by (sentence, label) only: a cache is bound to the one
+    classifier object and the one ``LrpConfig`` it was built with, and each
+    stage function builds a fresh cache, so entries never outlive the
+    classifier or mapping that produced them.
     """
 
     def __init__(self, classifier: TextCnnStyleClassifier, lrp_cfg: LrpConfig):
         self.classifier = classifier
         self.cfg = lrp_cfg
-        self.key = (classifier.weights_hash(), lrp_cfg.eta, lrp_cfg.epsilon)
         self._store: dict[tuple, np.ndarray] = {}
 
     def precompute(self, corpus: LabeledCorpus, batch_size: int = 64) -> None:

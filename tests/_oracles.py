@@ -50,3 +50,65 @@ def composed_gru(gi, h, u, bh):
     r = ad.sigmoid(ad.narrow(gi, 1, H, H) + ad.narrow(gh, 1, H, H))
     n = ad.tanh(ad.narrow(gi, 1, 2 * H, H) + r * ad.narrow(gh, 1, 2 * H, H))
     return (1.0 - z) * n + z * h
+
+
+def graph_nodes(loss) -> int:
+    """Tensors reachable from ``loss`` through its parent links, itself included."""
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def per_step_fluency_loss(lm_forward, lm_backward, soft, target_style):
+    """The fluency loss with each frozen language model run one step at a
+    time, its output layer and ``log_softmax`` applied per step, and the
+    reversed sentence rebuilt slice by slice; ``language_model.fluency_loss``
+    must give the same values and gradients."""
+    from restyle.autodiff import constant
+    from restyle.data import BOS
+
+    def step_distribution(lm, x_emb, h):
+        h = lm.cell_.step(lm.cell_.project(x_emb), h)
+        logits = ad.matmul(h, lm.params_["out.w"]) + lm.params_["out.b"]
+        return ad.log_softmax(logits, axis=-1), h
+
+    if lm_forward.style != target_style or lm_backward.style != target_style:
+        raise ValueError("style mismatch")
+    T = len(soft.rows)
+    B = soft.rows[0].shape[0]
+    mask = soft.length_mask()
+    n_sentences = max(int((soft.lengths > 0).sum()), 1)
+
+    def directional(lm, rows, dists, step_mask):
+        h = constant(np.zeros((B, lm.hidden_dim)))
+        x = ad.gather_rows(lm.params_["emb"], np.full(B, BOS, dtype=np.int64))
+        total = None
+        for j in range(T):
+            logq, h = step_distribution(lm, x, h)
+            ce = ad.neg(ad.tsum(dists[j] * logq, axis=-1)) * constant(step_mask[:, j])
+            total = ce if total is None else total + ce
+            x = ad.matmul(rows[j], lm.params_["emb"])
+        # per-sentence sums averaged over sentences with nonzero length
+        return total.sum() * (1.0 / n_sentences)
+
+    fwd = directional(lm_forward, soft.rows, soft.dists, mask)
+
+    # reversed-within-realized-length view of the soft sentence
+    perm = np.zeros((B, T, T))
+    for b in range(B):
+        L = soft.lengths[b]
+        for j in range(L):
+            perm[b, j, L - 1 - j] = 1.0
+    rows3 = soft.stacked_rows()
+    dists3 = soft.stacked_dists()
+    rev_rows3 = ad.matmul(constant(perm), rows3)
+    rev_dists3 = ad.matmul(constant(perm), dists3)
+    rev_rows = [ad.select(rev_rows3, 1, j) for j in range(T)]
+    rev_dists = [ad.select(rev_dists3, 1, j) for j in range(T)]
+    bwd = directional(lm_backward, rev_rows, rev_dists, mask)
+
+    return (fwd + bwd) * 0.5

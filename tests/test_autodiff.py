@@ -271,7 +271,7 @@ class TestGruCellGradient:
         coef = constant(rand(rng, 2, 4))
 
         def loss_fn():
-            h = cell(x, h0)
+            h = cell.step(cell.project(x), h0)
             return tsum(h * h + h * coef)
 
         err = finite_difference_check(loss_fn, [*params.values(), x, h0], step=1e-5,

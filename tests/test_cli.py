@@ -379,6 +379,40 @@ class TestPipelineCommands:
         assert inspect(work, flags=("--eta", "2.5")) == 0.3
         capsys.readouterr()
 
+    def test_09g_lrp_inspect_uses_the_stabilizer(self, cli_env, capsys, tmp_path):
+        from restyle.cli import load_classifier
+        from restyle.config import load_config
+        from restyle.data import Vocabulary, pack_batch
+        from restyle.lrp import calibrate_eta, hard_word_relevance
+
+        # without a stage-1 model lrp-inspect calibrates eta itself
+        work = copy_run(cli_env, tmp_path / "run", ["vocab.txt", "classifier.ckpt"])
+        src = Path(cli_env["root"]) / "inspect_stabilizer_in.txt"
+        src.write_text("".join(line + "\n" for line in cli_env["corpus"].dev_sentences[:6]))
+        assert main(["--config", cli_env["config"], "--run-dir", str(work),
+                     "--set", "lrp.stabilizer=0.5", "lrp-inspect", "--input", str(src)]) == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in
+                   (work / "relevance.jsonl").read_text().splitlines()]
+        eta, targets = records[0]["eta"], [r["target_style"] for r in records]
+        cfg = load_config(cli_env["config"])
+        vocab = Vocabulary.load(work / "vocab.txt")
+        clf = load_classifier(work / "classifier.ckpt", vocab)
+        encoded = [vocab.encode(s) for s in cli_env["corpus"].dev_sentences[:6]]
+
+        def calibrated(stabilizer):
+            return calibrate_eta(clf, encoded, targets, target_lambda=cfg.lrp.eta_target,
+                                 stabilizer=stabilizer, seed=cfg.seed_for("eta"))
+
+        assert calibrated(0.5) != calibrated(1e-9)
+        assert eta == calibrated(0.5)
+        for record, ids, target in zip(records, encoded, targets):
+            batch = pack_batch([ids], min_width=max(clf.filter_widths))
+            raw = hard_word_relevance(clf, batch.enc_ids, batch.lengths, target, eta=eta,
+                                      epsilon=record["epsilon"], stabilizer=0.5).raw.values
+            assert record["raw_relevance"] == [round(float(x), 8)
+                                               for x in raw[0, :len(record["tokens"])]]
+
     def test_09d_evaluate_lowercases_references(self, cli_env, capsys, tmp_path):
         # data.lowercase defaults to true: outputs and references compare in lower case
         run_dir = Path(cli_env["run_dir"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _oracles import graph_nodes, per_step_fluency_loss
 
 from restyle import autodiff as ad
 from restyle.autodiff import backward, constant, finite_difference_check, parameter
@@ -136,3 +137,61 @@ class TestFluencyLoss:
         backward(loss)
         assert grads_all_zero(fwd.params_)
         assert grads_all_zero(bwd.params_)
+
+
+def random_lm_pair(rng, V, style=1, embed_dim=5, hidden_dim=6):
+    """Frozen forward and backward models with random weights and biases."""
+    lms = []
+    for direction in ("forward", "backward"):
+        lm = DirectionalLanguageModel(vocab_size=V, style=style, direction=direction,
+                                      embed_dim=embed_dim, hidden_dim=hidden_dim, seed=0)
+        lm._init_params()
+        for p in lm.params_.values():
+            p.values[...] = rng.uniform(-0.5, 0.5, p.shape)
+        lm.set_trainable(False)
+        lms.append(lm)
+    return lms
+
+
+class TestFluencyLossSequencePass:
+    """``fluency_loss`` scores a soft sentence in one sequence pass per model;
+    it must agree with the per-step definition in ``_oracles``."""
+
+    @pytest.mark.parametrize("T,lengths", [(6, [0, 1, 6, 3, 4]), (6, [6, 6, 6, 6, 6]),
+                                           (6, [0, 0, 0, 0, 0]), (6, [1, 1, 2, 5, 0]),
+                                           (1, [1, 0, 1])])
+    def test_matches_per_step_definition(self, T, lengths):
+        # T = 1: the models read only BOS
+        rng = np.random.default_rng(sum(lengths))
+        V, B = 9, len(lengths)
+        fwd, bwd = random_lm_pair(rng, V)
+        rows = [parameter(rng.dirichlet(np.ones(V), size=B)) for _ in range(T)]
+        dists = [parameter(rng.dirichlet(np.ones(V), size=B)) for _ in range(T)]
+        soft = make_soft(rows, dists, lengths)
+        results = []
+        for fn in (fluency_loss, per_step_fluency_loss):
+            for p in rows + dists:
+                p.zero_grad()
+            loss = fn(fwd, bwd, soft, target_style=1)
+            backward(loss)
+            results.append((loss.item(), [p.grad.copy() for p in rows + dists]))
+        (value, grads), (ref_value, ref_grads) = results
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+        for g, ref_g in zip(grads, ref_grads):
+            np.testing.assert_allclose(g, ref_g, rtol=0, atol=1e-12)
+        if max(lengths) == 0:
+            assert value == 0.0
+        else:
+            assert value > 0.0 and any(np.abs(g).max() > 0 for g in grads)
+
+    def test_graph_size(self):
+        # one sequence pass per model: the per-step definition builds 346
+        # nodes for this sentence, most of them per-step output layers
+        rng = np.random.default_rng(6)
+        V, T, B = 70, 11, 32
+        fwd, bwd = random_lm_pair(rng, V, embed_dim=64, hidden_dim=64)
+        rows = [parameter(rng.dirichlet(np.ones(V), size=B)) for _ in range(T)]
+        dists = [parameter(rng.dirichlet(np.ones(V), size=B)) for _ in range(T)]
+        soft = make_soft(rows, dists, rng.integers(0, T + 1, size=B))
+        assert graph_nodes(fluency_loss(fwd, bwd, soft, target_style=1)) <= 150
+        assert graph_nodes(per_step_fluency_loss(fwd, bwd, soft, target_style=1)) > 150

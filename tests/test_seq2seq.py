@@ -119,9 +119,12 @@ class TestDecodeStep:
                                    step.hidden.values + delta.values, atol=1e-12)
 
     def test_unknown_style_rejected(self, tiny_model):
-        with pytest.raises(ValueError, match="style"):
-            enc, x, h = self._setup(tiny_model)
-            tiny_model.decode_step(x, h, enc, style_ids=np.array([7]), styled=True)
+        # both generators check the style ids once, before decoding
+        batch = pack_batch([[4, 5, 6], [5, 6]])
+        for generate in (tiny_model.generate_greedy, tiny_model.generate_soft):
+            for style in (7, -1, np.array([1, 2])):
+                with pytest.raises(ValueError, match="style"):
+                    generate(batch.enc_ids, batch.lengths, style)
 
     def test_styled_gradients_match_fd(self, tiny_model):
         tiny_model.params["style.w2"].values[...] = np.random.default_rng(2).uniform(

@@ -13,8 +13,9 @@ records:
   untrained model at the ``Stage1Config`` defaults (SGD, corruption 0.15) with
   a fixed seed, and the model's final ``params_hash``;
 * ``stage2``: the loss totals of ``--steps`` steps of ``Stage2Trainer`` on the
-  stage-1 model at the ``finetune`` workload's settings (Adam), and the
-  model's final ``params_hash``;
+  stage-1 model at the ``finetune`` workload's settings (Adam), each step's
+  terms ``l_st``, ``l_ylambda``, ``l_cp`` and ``l_lm``, and the model's final
+  ``params_hash``;
 * for both stages, every trained parameter's gradient at the first step,
   before clipping (kept beside the record, not in it);
 * ``lm``: the dev perplexity of each pickled LM; and of each LM fit again with
@@ -26,7 +27,8 @@ records:
   column of both ``train_log`` CSVs and a hash of the corpus files.
 
 The result holds, per seed, both records and whether the loss totals and
-hashes are identical, each step's relative loss-total gap, the largest
+hashes are identical, each step's relative gap in the loss total and in each
+stage-2 term (absolute where the parent's value is 0), the largest
 relative perplexity gap, and per stage the first step's largest gradient gap
 relative to the parent gradient's norm, ``max |g_change - g_parent| /
 ||g_parent||`` over each parameter's entries. Both sides start from the same
@@ -52,6 +54,7 @@ from pathlib import Path
 import numpy as np
 
 STAGE1_SEED = 7
+STAGE2_TERMS = ("l_st", "l_ylambda", "l_cp", "l_lm")
 
 CLI_CONFIG = """
 [run]
@@ -166,6 +169,7 @@ def worker_record(checkout: Path, seed: int, start: Path, steps: int, out: Path)
     grads2 = record_first_grads(trainer.optimizer, models.model.params)
     trainer.train(max_steps=steps)
     record["stage2"] = {"loss_totals": [row["total"] for row in trainer.log.rows],
+                        "terms": {t: [row[t] for row in trainer.log.rows] for t in STAGE2_TERMS},
                         "params_hash": params_hash(models.model.params)}
     out.write_text(json.dumps(record))
     np.savez(grads_path(out), **{f"stage1/{k}": g for k, g in grads1.items()},
@@ -190,7 +194,10 @@ def gradient_gaps(parent: Path, change: Path, stage: str) -> dict:
 
 
 def loss_gaps(parent: list, change: list) -> list:
-    return [abs(c - p) / abs(p) for p, c in zip(parent, change, strict=True)]
+    """Per step |change - parent| / |parent|, or the absolute gap where the
+    parent's value is 0."""
+    return [abs(c - p) / abs(p) if p else abs(c - p)
+            for p, c in zip(parent, change, strict=True)]
 
 
 def worker_cli(checkout: Path, seed: int, work: Path, out: Path) -> None:
@@ -257,6 +264,9 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
                                                c["stage1"]["loss_totals"]),
         "stage2_relative_loss_gaps": loss_gaps(p["stage2"]["loss_totals"],
                                                c["stage2"]["loss_totals"]),
+        "stage2_relative_term_gaps": {t: loss_gaps(p["stage2"]["terms"][t],
+                                                   c["stage2"]["terms"][t])
+                                      for t in STAGE2_TERMS},
         "stage1_first_step_grad_gap": gradient_gaps(*records, "stage1"),
         "stage2_first_step_grad_gap": gradient_gaps(*records, "stage2"),
         "lm_refit_weights_identical": all(p["lm"][k]["refit_weights_hash"]
