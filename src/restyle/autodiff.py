@@ -48,10 +48,6 @@ def no_grad():
         _GRAD.enabled = prev
 
 
-def is_grad_enabled() -> bool:
-    return _GRAD.enabled
-
-
 class Tensor:
     """Dense array with value and gradient buffers plus trace linkage."""
 

@@ -143,79 +143,37 @@ def corpus_file_hashes(cfg: ExperimentConfig, split: str) -> dict:
     return out
 
 
-def save_classifier(path: Path, clf: TextCnnStyleClassifier, vocab: Vocabulary,
-                    cfg: ExperimentConfig) -> None:
-    header = {"kind": "classifier", "vocab_hash": vocab.content_hash(),
-              "embed_dim": clf.embed_dim, "num_filters": clf.num_filters,
-              "filter_widths": list(clf.filter_widths),
-              "config_hash": config_hash(cfg.to_dict()), "seed": clf.seed}
-    save_checkpoint(path, clf.params_, header)
+MODELS = {"classifier": TextCnnStyleClassifier, "lm": DirectionalLanguageModel,
+          "seq2seq": Seq2seqModel}
 
 
-def load_classifier(path: Path, vocab: Vocabulary) -> TextCnnStyleClassifier:
-    header, arrays = load_checkpoint(require(path, "classifier checkpoint"))
-    if header.get("kind") != "classifier":
-        raise CliError(f"{path} is not a classifier checkpoint")
-    if header["vocab_hash"] != vocab.content_hash():
-        raise CliError(f"classifier checkpoint {path} was trained on a different vocabulary")
-    clf = TextCnnStyleClassifier(vocab_size=len(vocab), embed_dim=header["embed_dim"],
-                                 num_filters=header["num_filters"],
-                                 filter_widths=tuple(header["filter_widths"]),
-                                 seed=header.get("seed", 0))
-    clf._init_params()
-    restore_params(clf.params_, arrays)
-    return clf
+def save_model(path: Path, kind: str, model, vocab: Vocabulary, cfg: ExperimentConfig,
+               **extra) -> None:
+    """Checkpoint ``model``'s weights under a header of its kind, vocabulary,
+    config, constructor parameters (less ``vocab_size``) and ``extra``."""
+    params = model.get_params()
+    del params["vocab_size"]
+    header = {"kind": kind, "vocab_hash": vocab.content_hash(),
+              "config_hash": config_hash(cfg.to_dict()), **params, **extra}
+    save_checkpoint(path, model.parameters(), header)
 
 
-def save_lm(path: Path, lm: DirectionalLanguageModel, vocab: Vocabulary,
-            cfg: ExperimentConfig) -> None:
-    header = {"kind": "lm", "style": lm.style, "direction": lm.direction,
-              "vocab_hash": vocab.content_hash(), "embed_dim": lm.embed_dim,
-              "hidden_dim": lm.hidden_dim,
-              "config_hash": config_hash(cfg.to_dict()), "seed": lm.seed}
-    save_checkpoint(path, lm.params_, header)
-
-
-def load_lm(path: Path, vocab: Vocabulary) -> DirectionalLanguageModel:
-    header, arrays = load_checkpoint(require(path, "language-model checkpoint"))
-    if header.get("kind") != "lm":
-        raise CliError(f"{path} is not a language-model checkpoint")
-    if header["vocab_hash"] != vocab.content_hash():
-        raise CliError(f"lm checkpoint {path} was trained on a different vocabulary")
-    lm = DirectionalLanguageModel(vocab_size=len(vocab), style=header["style"],
-                                  direction=header["direction"],
-                                  embed_dim=header["embed_dim"],
-                                  hidden_dim=header["hidden_dim"],
-                                  seed=header.get("seed", 0))
-    lm._init_params()
-    restore_params(lm.params_, arrays)
-    return lm
-
-
-def save_seq2seq(path: Path, model: Seq2seqModel, vocab: Vocabulary, stage: int,
-                 cfg: ExperimentConfig, eta: float) -> None:
-    header = {"kind": "seq2seq", "stage": stage, "vocab_hash": vocab.content_hash(),
-              "embed_dim": model.embed_dim, "hidden_dim": model.hidden_dim,
-              "attn_dim": model.attn_dim, "head_dim": model.head_dim,
-              "style_dim": model.style_dim, "mlp_dim": model.mlp_dim,
-              "eta": eta, "epsilon": cfg.lrp.epsilon,
-              "config_hash": config_hash(cfg.to_dict()), "seed": model.seed}
-    if stage == 1:
-        header["lxlambda_off"] = cfg.stage1.lxlambda_off
-    save_checkpoint(path, model.params, header)
-
-
-def load_seq2seq(path: Path, vocab: Vocabulary, what: str = "model checkpoint"):
+def load_model(path: Path, kind: str, vocab: Vocabulary, what: str | None = None):
+    """``(model, header)`` of a ``kind`` checkpoint trained on ``vocab``; the
+    model is rebuilt from the header keys that are constructor parameters.
+    ``what`` names the checkpoint in errors."""
+    what = what or f"{kind} checkpoint"
     header, arrays = load_checkpoint(require(path, what))
-    if header.get("kind") != "seq2seq":
-        raise CliError(f"{path} is not a sequence-model checkpoint")
+    if header.get("kind") != kind:
+        raise CliError(f"{path} is not a {kind} checkpoint")
     if header["vocab_hash"] != vocab.content_hash():
-        raise CliError(f"checkpoint {path} was trained on a different vocabulary")
-    model = Seq2seqModel(len(vocab), embed_dim=header["embed_dim"],
-                         hidden_dim=header["hidden_dim"], attn_dim=header["attn_dim"],
-                         head_dim=header["head_dim"], style_dim=header["style_dim"],
-                         mlp_dim=header["mlp_dim"], seed=header.get("seed", 0))
-    restore_params(model.params, arrays)
+        raise CliError(f"{what} {path} was trained on a different vocabulary")
+    cls = MODELS[kind]
+    names = cls._param_names()
+    model = cls(vocab_size=len(vocab), **{k: v for k, v in header.items() if k in names})
+    if hasattr(model, "_init_params"):   # the estimators build their weights in fit
+        model._init_params()
+    restore_params(model.parameters(), arrays)
     return model, header
 
 
@@ -245,7 +203,7 @@ def cmd_train_classifier(args, cfg: ExperimentConfig) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
     vocab = load_or_build_vocab(run_dir, cfg)
     clf = train_classifier(cfg, len(vocab), load_split(cfg, vocab, "train"))
-    save_classifier(run_dir / "classifier.ckpt", clf, vocab, cfg)
+    save_model(run_dir / "classifier.ckpt", "classifier", clf, vocab, cfg)
     update_manifest(run_dir, cfg, {
         "artifacts": {"classifier.ckpt": file_hash(run_dir / "classifier.ckpt"),
                       "vocab.txt": file_hash(run_dir / "vocab.txt")},
@@ -268,7 +226,7 @@ def cmd_train_lm(args, cfg: ExperimentConfig) -> int:
     updates = {"artifacts": {}, "seeds": {}}
     for (style, direction), lm in lms.items():
         name = f"lm.{style}.{direction}.ckpt"
-        save_lm(run_dir / name, lm, vocab, cfg)
+        save_model(run_dir / name, "lm", lm, vocab, cfg)
         updates["artifacts"][name] = file_hash(run_dir / name)
         updates["seeds"][f"lm.{style}.{direction}"] = lm.seed
         print(f"lm style={style} direction={direction}: "
@@ -281,13 +239,14 @@ def cmd_train_stage1(args, cfg: ExperimentConfig) -> int:
     run_dir = Path(args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     vocab = load_or_build_vocab(run_dir, cfg)
-    clf = load_classifier(run_dir / "classifier.ckpt", vocab)
+    clf, _ = load_model(run_dir / "classifier.ckpt", "classifier", vocab)
     train = load_split(cfg, vocab, "train")
     dev = load_split(cfg, vocab, "dev") if cfg.data.dev_style0 else None
     log = TrainLog(run_dir / "train_log.stage1.csv")
     model, eta, metrics = train_stage1(cfg, len(vocab), clf, train, dev, log)
     log.close()
-    save_seq2seq(run_dir / "stage1.ckpt", model, vocab, 1, cfg, eta)
+    save_model(run_dir / "stage1.ckpt", "seq2seq", model, vocab, cfg, stage=1, eta=eta,
+               epsilon=cfg.lrp.epsilon, lxlambda_off=cfg.stage1.lxlambda_off)
     update_manifest(run_dir, cfg, {
         "artifacts": {"stage1.ckpt": file_hash(run_dir / "stage1.ckpt")},
         "seeds": {"stage1": cfg.stage1.seed},
@@ -303,8 +262,8 @@ def _load_lms(run_dir: Path, vocab: Vocabulary) -> dict:
     lms = {}
     for style in (0, 1):
         for direction in ("forward", "backward"):
-            lms[(style, direction)] = load_lm(
-                run_dir / f"lm.{style}.{direction}.ckpt", vocab)
+            lms[(style, direction)], _ = load_model(
+                run_dir / f"lm.{style}.{direction}.ckpt", "lm", vocab)
     return lms
 
 
@@ -318,8 +277,8 @@ def cmd_train_stage2(args, cfg: ExperimentConfig) -> int:
     run_dir = Path(args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     vocab = load_or_build_vocab(run_dir, cfg)
-    clf = load_classifier(run_dir / "classifier.ckpt", vocab)
-    model, header = load_seq2seq(run_dir / "stage1.ckpt", vocab, "stage1 checkpoint")
+    clf, _ = load_model(run_dir / "classifier.ckpt", "classifier", vocab)
+    model, header = load_model(run_dir / "stage1.ckpt", "seq2seq", vocab, "stage1 checkpoint")
     lms = _load_lms(run_dir, vocab)
     train = load_split(cfg, vocab, "train")
     ablation = stage2_ablation(args, cfg)
@@ -335,7 +294,8 @@ def cmd_train_stage2(args, cfg: ExperimentConfig) -> int:
     trainer = train_stage2(cfg, model, clf, lms, header.get("eta"), train, log)
     log.close()
     name = f"stage2{suffix}.ckpt"
-    save_seq2seq(run_dir / name, model, vocab, 2, cfg, trainer.lrp_cfg.eta)
+    save_model(run_dir / name, "seq2seq", model, vocab, cfg, stage=2,
+               eta=trainer.lrp_cfg.eta, epsilon=cfg.lrp.epsilon)
     update_manifest(run_dir, cfg, {
         "artifacts": {name: file_hash(run_dir / name)},
         "seeds": {"stage2": cfg.stage2.seed},
@@ -358,12 +318,10 @@ def cmd_transfer(args, cfg: ExperimentConfig) -> int:
     run_dir = Path(args.run_dir)
     vocab = Vocabulary.load(require(run_dir / "vocab.txt", "vocabulary"))
     ckpt = Path(args.checkpoint) if args.checkpoint else run_dir / "stage2.ckpt"
-    model, header = load_seq2seq(ckpt, vocab, "stage2 checkpoint")
+    model, header = load_model(ckpt, "seq2seq", vocab, "stage2 checkpoint")
     sentences = _read_input_sentences(args, cfg)
     if not sentences:
         raise CliError("no input sentences")
-    if args.mode != "greedy":
-        raise CliError(f"unsupported decode mode {args.mode!r}")
     ids = [vocab.encode(s) for s in sentences]
     styled = header.get("stage", 2) == 2
     outputs, gates = transfer_sentences(model, ids, args.target_style,
@@ -394,8 +352,8 @@ def cmd_transfer(args, cfg: ExperimentConfig) -> int:
 def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     run_dir = Path(args.run_dir)
     vocab = Vocabulary.load(require(run_dir / "vocab.txt", "vocabulary"))
-    clf = load_classifier(Path(args.classifier) if args.classifier
-                          else run_dir / "classifier.ckpt", vocab)
+    clf, _ = load_model(Path(args.classifier) if args.classifier
+                        else run_dir / "classifier.ckpt", "classifier", vocab)
     outputs = maybe_lower(read_sentences(require(Path(args.outputs), "outputs file")), cfg)
     ref_files = [Path(p) for p in args.refs.split(",") if p]
     ref_columns = [maybe_lower(read_sentences(require(p, "reference file")), cfg)
@@ -422,8 +380,8 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
 def cmd_lrp_inspect(args, cfg: ExperimentConfig) -> int:
     run_dir = Path(args.run_dir)
     vocab = Vocabulary.load(require(run_dir / "vocab.txt", "vocabulary"))
-    clf = load_classifier(Path(args.classifier) if args.classifier
-                          else run_dir / "classifier.ckpt", vocab)
+    clf, _ = load_model(Path(args.classifier) if args.classifier
+                        else run_dir / "classifier.ckpt", "classifier", vocab)
     sentences = _read_input_sentences(args, cfg)
     if not sentences:
         raise CliError("no input sentences")
@@ -487,7 +445,7 @@ def cmd_gradcheck(args, cfg: ExperimentConfig) -> int:
 def cmd_ablate(args, cfg: ExperimentConfig) -> int:
     run_dir = Path(args.run_dir)
     vocab = Vocabulary.load(require(run_dir / "vocab.txt", "vocabulary"))
-    clf = load_classifier(run_dir / "classifier.ckpt", vocab)
+    clf, _ = load_model(run_dir / "classifier.ckpt", "classifier", vocab)
     ablation = cfg.stage2.ablation = stage2_ablation(args, cfg)
     variant = ablation_name(ablation)
 
@@ -495,15 +453,15 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
     references = _load_references(cfg, test)
 
     if "nsc_off" in ablation:
-        model, _ = load_seq2seq(run_dir / "stage1.ckpt", vocab, "stage1 checkpoint")
+        model, _ = load_model(run_dir / "stage1.ckpt", "seq2seq", vocab, "stage1 checkpoint")
         styled = False
     else:
         rc = cmd_train_stage2(argparse.Namespace(run_dir=args.run_dir, variant=None), cfg)
         if rc != 0:
             return rc
         suffix = "" if variant == "full" else f".{variant}"
-        model, _ = load_seq2seq(run_dir / f"stage2{suffix}.ckpt", vocab,
-                                "stage2 checkpoint")
+        model, _ = load_model(run_dir / f"stage2{suffix}.ckpt", "seq2seq", vocab,
+                              "stage2 checkpoint")
         styled = True
     sentences = [vocab.decode(s) for s in test.sentences]
     gate_override = 1.0 if "gate_off" in ablation else None
@@ -583,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="sentence file ('-' for stdin)")
     p.add_argument("--output", default=None, help="output file (default run dir)")
     p.add_argument("--checkpoint", default=None, help="model checkpoint to decode with")
-    p.add_argument("--mode", default="greedy", help="decoding mode")
     p.add_argument("--dump-relevance", action="store_true",
                    help="emit per-token relevance alongside output tokens")
 

@@ -1,16 +1,24 @@
 """Flat ``key = value`` experiment configuration, one section per component.
 
-Every default is overridable from the file; unknown keys are rejected so
-typos fail loudly. Sub-seeds for each component are derived deterministically
-from one root seed, and the stages' ``max_len`` follows ``data.max_len``.
+The ``[classifier]``, ``[lm]`` and ``[model]`` sections are built from the
+model constructors: their keys are the constructors' keyword parameters, less
+those a run sets itself (vocabulary size, seeds, style, direction, LM length),
+and their defaults are the constructors' defaults. Every default is
+overridable from the file; unknown keys are rejected so typos fail loudly.
+Sub-seeds for each component are derived deterministically from one root
+seed, and the stages' ``max_len`` follows ``data.max_len``.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+import inspect
+from dataclasses import dataclass, field, fields, make_dataclass
 
 from restyle.base import derive_seed
+from restyle.language_model import DirectionalLanguageModel
+from restyle.seq2seq import Seq2seqModel
+from restyle.textcnn import TextCnnStyleClassifier
 from restyle.training import LrpConfig, Stage1Config, Stage2Config, resolve_ablation
 
 
@@ -29,39 +37,22 @@ class DataConfig:
     lowercase: bool = True
 
 
-@dataclass
-class ClassifierSection:
-    embed_dim: int = 64
-    num_filters: int = 32
-    filter_widths: tuple = (2, 3, 4)
-    epochs: int = 5
-    learning_rate: float = 1e-3
-    clip_norm: float = 5.0
-    batch_size: int = 32
-    optimizer: str = "adam"
-    label_smoothing: float = 0.0
-    word_dropout: float = 0.0
+def constructor_section(name: str, model_cls, run_keys: tuple) -> type:
+    """A config section whose keys and defaults are ``model_cls``'s keyword
+    parameters, less ``run_keys``, the ones a run sets itself."""
+    params = inspect.signature(model_cls.__init__).parameters
+    return make_dataclass(name, [(key, type(p.default), field(default=p.default))
+                                 for key, p in params.items()
+                                 if key != "self" and key not in run_keys],
+                          namespace={"__module__": __name__})   # so configs pickle
 
 
-@dataclass
-class LmSection:
-    embed_dim: int = 64
-    hidden_dim: int = 64
-    epochs: int = 5
-    learning_rate: float = 2e-3
-    clip_norm: float = 5.0
-    batch_size: int = 32
-    optimizer: str = "adam"
-
-
-@dataclass
-class ModelSection:
-    embed_dim: int = 64
-    hidden_dim: int = 64
-    attn_dim: int = 64
-    head_dim: int = 32
-    style_dim: int = 16
-    mlp_dim: int = 64
+ClassifierSection = constructor_section("ClassifierSection", TextCnnStyleClassifier,
+                                        ("vocab_size", "seed", "dev_fraction"))
+LmSection = constructor_section("LmSection", DirectionalLanguageModel,
+                                ("vocab_size", "style", "direction", "max_len", "seed",
+                                 "dev_fraction"))
+ModelSection = constructor_section("ModelSection", Seq2seqModel, ("vocab_size", "seed"))
 
 
 @dataclass

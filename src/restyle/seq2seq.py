@@ -21,6 +21,7 @@ import numpy as np
 
 from restyle import autodiff as ad
 from restyle.autodiff import Tensor, constant, parameter
+from restyle.base import ParamMixin
 from restyle.checkpoint import params_hash
 from restyle.data import BOS, EOS, PAD
 
@@ -113,7 +114,7 @@ class GruCell:
         return ad.stack(states, axis=1)
 
 
-class Seq2seqModel:
+class Seq2seqModel(ParamMixin):
     """Encoder-decoder network; holds every trainable tensor in ``params``."""
 
     def __init__(self, vocab_size: int, embed_dim: int = 64, hidden_dim: int = 64,

@@ -187,15 +187,19 @@ class TextCnnStyleClassifier(ParamMixin):
 
     # ------------------------------------------------------------------
     def predict_proba(self, X) -> np.ndarray:
+        """Class probabilities, computed in 256-sentence chunks taken in length
+        order, so each chunk is padded only to its own longest sentence."""
         check_fitted(self, "params_")
         X = check_token_sequences(X)
         out = np.zeros((len(X), 2))
+        order = np.argsort([len(s) for s in X], kind="stable")
         with ad.no_grad():
             for lo in range(0, len(X), 256):
-                chunk = X[lo:lo + 256]
-                batch = pack_batch(chunk, min_width=max(self.filter_widths))
-                trace = self.forward_trace(batch.enc_ids, batch.lengths)
-                out[lo:lo + len(chunk)] = ad.softmax(trace.logits).values
+                idx = order[lo:lo + 256]
+                batch = pack_batch([X[i] for i in idx], min_width=max(self.filter_widths))
+                # a temporary trace, freed before the next chunk's is built
+                out[idx] = ad.softmax(self.forward_trace(batch.enc_ids, batch.lengths)
+                                      .logits).values
         return out
 
     def predict(self, X) -> np.ndarray:

@@ -220,6 +220,15 @@ class LambdaTargetCache:
 # stage 1
 
 
+def relevance_error(pred: ad.Tensor, target: ad.Tensor, mask: np.ndarray,
+                    lengths: np.ndarray) -> ad.Tensor:
+    """(B,) word-relevance error: the squared differences of ``pred`` and
+    ``target`` (both (B, T) tensors) summed under ``mask`` and divided by each
+    sentence's length."""
+    sq = ad.squared_error(pred, target) * constant(mask)
+    return sq.sum(axis=1) * constant(1.0 / lengths)
+
+
 def stage1_losses(model: Seq2seqModel, batch, lam_x: np.ndarray,
                   corrupted_enc_ids: np.ndarray | None = None):
     """Stage-1 terms of one batch: reconstruction cross-entropy ``l_sr`` and the
@@ -229,8 +238,8 @@ def stage1_losses(model: Seq2seqModel, batch, lam_x: np.ndarray,
     ce = ad.cross_entropy_with_indices(logits, batch.targets, batch.target_mask)
     l_sr = ce.sum(axis=1).mean()
     lam_hat = ad.narrow(gates, 1, 0, lam_x.shape[1])
-    sq = ad.squared_error(constant(lam_x), lam_hat) * constant(batch.token_mask)
-    l_xlambda = (sq.sum(axis=1) * constant(1.0 / batch.lengths)).mean()
+    l_xlambda = relevance_error(lam_hat, constant(lam_x), batch.token_mask,
+                                batch.lengths).mean()
     return l_sr, l_xlambda
 
 
@@ -285,8 +294,9 @@ class Stage1Trainer:
                 correct += int(((pred == batch.targets) * batch.target_mask).sum())
                 tokens += int(batch.target_mask.sum())
                 lam_x = self.lam_cache.batch_matrix(batch)
-                sq = (lam_x - gates.values[:, :lam_x.shape[1]]) ** 2 * batch.token_mask
-                mse_sum += float((sq.sum(axis=1) / batch.lengths).sum())
+                err = relevance_error(ad.narrow(gates, 1, 0, lam_x.shape[1]),
+                                      constant(lam_x), batch.token_mask, batch.lengths)
+                mse_sum += float(err.values.sum())
                 n += len(batch.lengths)
         return {"token_accuracy": correct / max(tokens, 1),
                 "relevance_mse": mse_sum / max(n, 1)}
@@ -372,9 +382,8 @@ def stage2_losses(model: Seq2seqModel, classifier: TextCnnStyleClassifier, lms: 
     if alpha > 0:
         wr = soft_word_relevance(classifier, rows_clf, soft.lengths, target_style,
                                  lrp_cfg.eta, lrp_cfg.epsilon, lrp_cfg.stabilizer)
-        lam_hat = ad.narrow(wr.lam, 1, 0, T)
-        sq = ad.squared_error(gates, lam_hat) * constant(rmask)
-        per_sentence = sq.sum(axis=1) * constant(1.0 / np.maximum(soft.lengths, 1))
+        per_sentence = relevance_error(gates, ad.narrow(wr.lam, 1, 0, T), rmask,
+                                       np.maximum(soft.lengths, 1))
         l_ylambda = (per_sentence * vmask).sum() * (1.0 / n_valid)
     else:
         l_ylambda = constant(0.0)

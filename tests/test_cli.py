@@ -301,7 +301,7 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("target", ["0", "1", "pred"])
     def test_09c_lrp_inspect_calibrates_on_explained_labels(self, cli_env, capsys,
                                                              tmp_path, target):
-        from restyle.cli import load_classifier
+        from restyle.cli import load_model
         from restyle.config import load_config
         from restyle.data import Vocabulary
         from restyle.lrp import calibrate_eta
@@ -315,7 +315,7 @@ class TestPipelineCommands:
         capsys.readouterr()
         cfg = load_config(cli_env["config"])
         vocab = Vocabulary.load(bare / "vocab.txt")
-        clf = load_classifier(bare / "classifier.ckpt", vocab)
+        clf, _ = load_model(bare / "classifier.ckpt", "classifier", vocab)
         encoded = [vocab.encode(s) for s in cli_env["corpus"].dev_sentences[:6]]
         if target == "pred":
             assert targets == clf.predict(encoded).tolist()
@@ -327,7 +327,7 @@ class TestPipelineCommands:
     def test_09e_lrp_inspect_calibrates_for_another_classifier(self, cli_env, capsys,
                                                                tmp_path):
         from restyle.checkpoint import load_checkpoint, save_checkpoint
-        from restyle.cli import load_classifier
+        from restyle.cli import load_model
         from restyle.config import load_config
         from restyle.data import Vocabulary
         from restyle.lrp import calibrate_eta
@@ -342,7 +342,7 @@ class TestPipelineCommands:
         capsys.readouterr()
         cfg = load_config(cli_env["config"])
         vocab = Vocabulary.load(run_dir / "vocab.txt")
-        clf = load_classifier(other, vocab)
+        clf, _ = load_model(other, "classifier", vocab)
         encoded = [vocab.encode(s) for s in cli_env["corpus"].dev_sentences[:6]]
         assert targets == clf.predict(encoded).tolist()
         expected = calibrate_eta(clf, encoded, targets, target_lambda=cfg.lrp.eta_target,
@@ -380,7 +380,7 @@ class TestPipelineCommands:
         capsys.readouterr()
 
     def test_09g_lrp_inspect_uses_the_stabilizer(self, cli_env, capsys, tmp_path):
-        from restyle.cli import load_classifier
+        from restyle.cli import load_model
         from restyle.config import load_config
         from restyle.data import Vocabulary, pack_batch
         from restyle.lrp import calibrate_eta, hard_word_relevance
@@ -397,7 +397,7 @@ class TestPipelineCommands:
         eta, targets = records[0]["eta"], [r["target_style"] for r in records]
         cfg = load_config(cli_env["config"])
         vocab = Vocabulary.load(work / "vocab.txt")
-        clf = load_classifier(work / "classifier.ckpt", vocab)
+        clf, _ = load_model(work / "classifier.ckpt", "classifier", vocab)
         encoded = [vocab.encode(s) for s in cli_env["corpus"].dev_sentences[:6]]
 
         def calibrated(stabilizer):
@@ -586,3 +586,117 @@ class TestManifest:
         assert (tmp_path / "manifest.json").read_text() == before
         assert json.loads(before)["eta"] == 1.5
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
+KINDS = ("classifier", "lm", "seq2seq")
+# the header keys checkpoints carried before they recorded every constructor
+# parameter: the architecture and the seed
+PARENT_HEADER_KEYS = {
+    "classifier": ("embed_dim", "num_filters", "filter_widths", "seed"),
+    "lm": ("style", "direction", "embed_dim", "hidden_dim", "seed"),
+    "seq2seq": ("embed_dim", "hidden_dim", "attn_dim", "head_dim", "style_dim", "mlp_dim",
+                "seed"),
+}
+
+
+def small_model(kind, vocab_size):
+    """A small model of ``kind`` with non-default hyperparameters and weights
+    moved off their seeded initialization."""
+    from restyle.language_model import DirectionalLanguageModel
+    from restyle.seq2seq import Seq2seqModel
+    from restyle.textcnn import TextCnnStyleClassifier
+
+    if kind == "classifier":
+        model = TextCnnStyleClassifier(vocab_size=vocab_size, embed_dim=8, num_filters=4,
+                                       filter_widths=(2, 3), epochs=2, word_dropout=0.1,
+                                       seed=5)
+        model._init_params()
+    elif kind == "lm":
+        model = DirectionalLanguageModel(vocab_size=vocab_size, style=1, direction="backward",
+                                         embed_dim=6, hidden_dim=5, max_len=9, seed=4)
+        model._init_params()
+    else:
+        model = Seq2seqModel(vocab_size, embed_dim=6, hidden_dim=5, attn_dim=4, head_dim=3,
+                             style_dim=2, mlp_dim=7, seed=3)
+    rng = np.random.default_rng(0)
+    for p in model.parameters().values():
+        p.values += rng.normal(size=p.shape)
+    return model
+
+
+class TestCheckpoints:
+    @pytest.fixture
+    def vocab(self):
+        from restyle.data import build_vocab
+
+        return build_vocab(["the food was great .", "the room was bad ."])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_round_trip_records_every_constructor_parameter(self, kind, vocab, tmp_path):
+        from restyle.checkpoint import load_checkpoint, params_hash
+        from restyle.cli import load_model, save_model
+        from restyle.config import load_config
+
+        model = small_model(kind, len(vocab))
+        path = tmp_path / f"{kind}.ckpt"
+        save_model(path, kind, model, vocab, load_config(None), stage=2, eta=0.5)
+        header, _ = load_checkpoint(path)
+        params = model.get_params()
+        del params["vocab_size"]
+        assert set(header) == {"kind", "vocab_hash", "config_hash", "stage", "eta", *params}
+        loaded, loaded_header = load_model(path, kind, vocab)
+        assert loaded_header == header
+        assert loaded.get_params() == model.get_params()
+        assert params_hash(loaded.parameters()) == params_hash(model.parameters())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_parent_format_header_loads(self, kind, vocab, tmp_path):
+        from restyle.checkpoint import params_hash, save_checkpoint
+        from restyle.cli import load_model
+
+        model = small_model(kind, len(vocab))
+        header = {"kind": kind, "vocab_hash": vocab.content_hash(), "config_hash": "0"}
+        for key in PARENT_HEADER_KEYS[kind]:
+            value = getattr(model, key)
+            header[key] = list(value) if isinstance(value, tuple) else value
+        if kind == "seq2seq":
+            header.update(stage=1, eta=0.5, epsilon=0.3, lxlambda_off=False)
+        path = tmp_path / f"{kind}.ckpt"
+        save_checkpoint(path, model.parameters(), header)
+        loaded, _ = load_model(path, kind, vocab)
+        for key in PARENT_HEADER_KEYS[kind]:
+            assert getattr(loaded, key) == getattr(model, key)
+        assert params_hash(loaded.parameters()) == params_hash(model.parameters())
+
+    def test_wrong_kind_and_vocabulary_named(self, vocab, tmp_path):
+        from restyle.cli import CliError, load_model, save_model
+        from restyle.config import load_config
+        from restyle.data import build_vocab
+
+        path = tmp_path / "classifier.ckpt"
+        save_model(path, "classifier", small_model("classifier", len(vocab)), vocab,
+                   load_config(None))
+        with pytest.raises(CliError) as err:
+            load_model(path, "seq2seq", vocab, "stage2 checkpoint")
+        assert str(err.value) == f"{path} is not a seq2seq checkpoint"
+        other = build_vocab(["the food was great ."])
+        with pytest.raises(CliError) as err:
+            load_model(path, "classifier", other)
+        assert str(err.value) == (f"classifier checkpoint {path} was trained on a "
+                                  "different vocabulary")
+
+    def test_transfer_names_a_checkpoint_of_another_kind(self, vocab, tmp_path, capsys):
+        from restyle.cli import save_model
+        from restyle.config import load_config
+
+        vocab.save(tmp_path / "vocab.txt")
+        path = tmp_path / "classifier.ckpt"
+        save_model(path, "classifier", small_model("classifier", len(vocab)), vocab,
+                   load_config(None))
+        src = tmp_path / "in.txt"
+        src.write_text("the food was bad .\n")
+        rc = main(["--run-dir", str(tmp_path), "transfer", "--target-style", "1",
+                   "--checkpoint", str(path), "--input", str(src)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: runtime: {path} is not a seq2seq checkpoint\n"

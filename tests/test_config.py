@@ -1,6 +1,18 @@
+import inspect
 import pytest
 
 from restyle.config import ExperimentConfig, load_config
+from restyle.language_model import DirectionalLanguageModel
+from restyle.seq2seq import Seq2seqModel
+from restyle.textcnn import TextCnnStyleClassifier
+
+# each model section and the constructor parameters a run sets itself
+MODEL_SECTIONS = [
+    ("classifier", TextCnnStyleClassifier, ("vocab_size", "seed", "dev_fraction")),
+    ("lm", DirectionalLanguageModel,
+     ("vocab_size", "style", "direction", "max_len", "seed", "dev_fraction")),
+    ("model", Seq2seqModel, ("vocab_size", "seed")),
+]
 
 
 def write_cfg(tmp_path, text):
@@ -91,9 +103,39 @@ filter_widths = 2, 3
             cfg.lrp_config()
         assert cfg.lrp_config(calibrated_eta=0.5).eta == 0.5
 
+    def test_pickles(self):
+        import pickle
+
+        cfg = load_config(None, {"classifier.filter_widths": "2, 3", "lm.hidden_dim": "8"})
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+
     def test_to_dict_round_trips_hashable(self):
         cfg = ExperimentConfig()
         d = cfg.to_dict()
         assert d["stage2"]["alpha"] == 1.0
         import json
         json.dumps(d)
+
+
+class TestModelSections:
+    @pytest.mark.parametrize("section,cls,run_keys", MODEL_SECTIONS)
+    def test_run_level_parameters_rejected(self, section, cls, run_keys):
+        for key in run_keys:
+            with pytest.raises(ValueError, match=f"unknown config key {section}.{key}"):
+                load_config(None, {f"{section}.{key}": "1"})
+
+    @pytest.mark.parametrize("section,cls,run_keys", MODEL_SECTIONS)
+    def test_every_other_keyword_accepted(self, section, cls, run_keys):
+        def other(default):
+            if isinstance(default, tuple):
+                return (3, 5), "3, 5"
+            if isinstance(default, str):
+                return "sgd", "sgd"
+            return default + 1, str(default + 1)
+
+        for key, p in inspect.signature(cls.__init__).parameters.items():
+            if key == "self" or key in run_keys:
+                continue
+            value, raw = other(p.default)
+            cfg_section = getattr(load_config(None, {f"{section}.{key}": raw}), section)
+            assert getattr(cfg_section, key) == value

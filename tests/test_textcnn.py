@@ -76,6 +76,36 @@ class TestClassify:
             together = ad.softmax(trace.logits).values
         np.testing.assert_allclose(together[0], alone[0], atol=1e-12)
 
+    def test_chunks_in_length_order_return_input_order(self, small_classifier,
+                                                        encoded_dev):
+        # a long sentence first among short ones: the chunks are taken in
+        # length order and scattered back by position
+        short = [s for s in encoded_dev.sentences if len(s) <= 6][:299]
+        long = max(encoded_dev.sentences, key=len) * 3
+        X = [long] + short
+        proba = small_classifier.predict_proba(X)
+        alone = np.concatenate([small_classifier.predict_proba([s]) for s in X])
+        np.testing.assert_allclose(proba, alone, rtol=1e-12, atol=1e-15)
+
+    def test_peak_memory_does_not_grow_with_chunks(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        clf = TextCnnStyleClassifier(vocab_size=60, seed=0)
+        clf._init_params()
+        X = [list(rng.integers(1, 60, size=16)) for _ in range(512)]
+
+        def peak(sentences):
+            tracemalloc.start()
+            try:
+                clf.predict_proba(sentences)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one 256-sentence chunk's trace at a time, however many chunks
+        assert peak(X) <= 1.2 * peak(X[:256])
+
     def test_short_input_pad_extended(self, small_classifier):
         proba = small_classifier.predict_proba([[4]])
         assert np.isfinite(proba).all()

@@ -98,10 +98,8 @@ class TestStage1:
         batch = pack_batch(encoded_train.sentences[:4], encoded_train.labels[:4])
         with ad.no_grad():
             _, gates = model.teacher_forced_pass(batch)
-        T = batch.enc_ids.shape[1]
-        lam_hat = gates.values[:, :T]
-        sq = (lam_hat - lam_hat) ** 2 * batch.token_mask
-        assert float((sq.sum(axis=1) / batch.lengths).mean()) == 0.0
+        lam_hat = gates.values[:, :batch.enc_ids.shape[1]]
+        assert stage1_losses(model, batch, lam_hat)[1].item() == 0.0
 
     def test_deterministic_loss_sequence(self, vocab, small_classifier, lam_cache,
                                          encoded_train):
@@ -114,6 +112,24 @@ class TestStage1:
             return [(r["l_sr"], r["l_xlambda"], r["total"]) for r in trainer.log.rows]
 
         assert run() == run()
+
+    def test_evaluate_relevance_mse_is_the_trained_term(self, vocab, small_classifier,
+                                                        lam_cache, encoded_dev):
+        model = make_model(vocab, seed=2)
+        trainer = Stage1Trainer(model, small_classifier, lam_cache, Stage1Config(seed=0),
+                                encoded_dev)
+        corpus = LabeledCorpus(encoded_dev.sentences[:150], encoded_dev.labels[:150])
+        mse = trainer.evaluate(corpus, batch_size=64)["relevance_mse"]
+        weighted = n = 0
+        with ad.no_grad():
+            for lo in range(0, len(corpus), 64):
+                batch = pack_batch(corpus.sentences[lo:lo + 64],
+                                   labels=corpus.labels[lo:lo + 64])
+                l_xlambda = stage1_losses(model, batch, lam_cache.batch_matrix(batch))[1]
+                weighted += l_xlambda.item() * len(batch.lengths)
+                n += len(batch.lengths)
+        assert mse > 0
+        assert mse == pytest.approx(weighted / n, rel=1e-15)
 
     def test_lxlambda_off_drops_term(self, vocab, small_classifier, lam_cache,
                                      encoded_train):
