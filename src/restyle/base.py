@@ -1,8 +1,9 @@
 """Estimator plumbing: parameter introspection and input validation helpers.
 
-Mirrors the scikit-learn conventions (``get_params``/``set_params``, fitted
-attributes carry a trailing underscore) without importing scikit-learn, so the
-models still duck-type into that ecosystem.
+Mirrors the scikit-learn conventions (``get_params``, fitted attributes carry a
+trailing underscore) without importing scikit-learn. There is no
+``set_params``: a model's weights are built from its hyperparameters, so a
+changed hyperparameter needs a new model.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 
 class ParamMixin:
-    """get_params/set_params driven by the __init__ signature."""
+    """get_params driven by the __init__ signature."""
 
     @classmethod
     def _param_names(cls):
@@ -24,14 +25,6 @@ class ParamMixin:
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"invalid parameter {key!r} for {type(self).__name__}")
-            setattr(self, key, value)
-        return self
 
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in sorted(self.get_params().items()))

@@ -4,13 +4,16 @@ component.
 The decoder input is the previous word embedding concatenated with the
 attention context; its projection [x; c]·W is computed as x·W_emb + c·W_ctx
 over the two row blocks of W, so teacher forcing, whose inputs are all known,
-projects the embeddings of every step at once. Attention is scored against the previous (revised) decoder
-state, so the context is available before the GRU update. In basic mode the
-revised state equals the raw state; in styled mode the state is revised as
-h~ = h + gate * delta, where the gate is the head-predicted word relevance and
-delta comes from an MLP over (previous embedding, previous revised state,
-target-style embedding). The MLP's output layer starts at zero, so styled
-decoding initially reproduces basic decoding exactly.
+projects the embeddings of every step at once. Attention is scored against the
+previous (revised) decoder state, so the context is available before the GRU
+update. In basic mode the revised state equals the raw state; in styled mode
+the state is revised as h~ = h + gate * delta, where the gate is the
+head-predicted word relevance and delta comes from an MLP over (previous
+embedding, previous revised state, target-style embedding). The MLP's output
+layer starts at zero, so styled decoding initially reproduces basic decoding
+exactly. Free-running decoding is one loop with two emission rules: greedy
+emits the argmax and feeds back its embedding, soft emits
+softmax((logits + g) / tau) and feeds back the expected embedding.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ class EncoderState:
 class DecoderStep:
     hidden: Tensor            # (B, H) raw GRU state
     revised: Tensor           # (B, H) gated revision (== hidden in basic mode)
-    context: Tensor           # (B, H)
-    attn_weights: Tensor      # (B, T)
     logits: Tensor            # (B, V)
     gate: Tensor              # (B,) head-predicted relevance of this step's word
     applied_gate: Tensor      # (B,) value actually used in the revision
@@ -192,8 +193,8 @@ class Seq2seqModel(ParamMixin):
         score_proj = ad.matmul(hs, self.params["attn.we"])
         return EncoderState(hs, final, score_bias, score_proj)
 
-    def attend(self, h_prev: Tensor, enc: EncoderState) -> tuple[Tensor, Tensor]:
-        """Returns (context (B, H), attention weights (B, T))."""
+    def attend(self, h_prev: Tensor, enc: EncoderState) -> Tensor:
+        """The attention context (B, H) for the decoder state ``h_prev``."""
         B, T, _ = enc.states.shape
         query = (ad.matmul(h_prev, self.params["attn.wd"]) + self.params["attn.b"])
         # scores shaped (B, 1, T): the weights are then already the row vectors
@@ -201,8 +202,7 @@ class Seq2seqModel(ParamMixin):
         scores = ad.matmul(ad.tanh(enc.score_proj + query.reshape(B, 1, self.attn_dim)),
                            self.params["attn.v"]).reshape(B, 1, T)
         weights = ad.softmax(scores, axis=-1, bias=enc.score_bias)
-        context = ad.matmul(weights, enc.states).reshape(B, self.hidden_dim)
-        return context, weights.reshape(B, T)
+        return ad.matmul(weights, enc.states).reshape(B, self.hidden_dim)
 
     def predict_relevance(self, h_prev: Tensor) -> Tensor:
         """Gate in (0,1): sigmoid(v' tanh(W h + b) + b'), one per (..., H)
@@ -229,35 +229,30 @@ class Seq2seqModel(ParamMixin):
                 ad.narrow(w, 0, self.embed_dim, self.hidden_dim))
 
     def advance(self, x_proj: Tensor, h_prev: Tensor, enc: EncoderState,
-                w_ctx: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+                w_ctx: Tensor) -> Tensor:
         """The decoder recurrence, shared by every decoding mode: attention
         scored against ``h_prev``, then the GRU update on the input projection
         ``x_proj + context·W_ctx``, where ``x_proj = x·W_emb + b_i`` is the
-        embedding part. Returns (state, context, attention weights)."""
-        context, weights = self.attend(h_prev, enc)
-        h = self.decoder_cell.step(x_proj + ad.matmul(context, w_ctx), h_prev)
-        return h, context, weights
+        embedding part. Returns the new state."""
+        context = self.attend(h_prev, enc)
+        return self.decoder_cell.step(x_proj + ad.matmul(context, w_ctx), h_prev)
 
     def decode_step(self, x_emb: Tensor, h_prev: Tensor, enc: EncoderState,
-                    style_ids: np.ndarray | None = None, styled: bool = False,
+                    weights: tuple[Tensor, Tensor], style_ids: np.ndarray | None = None,
                     gate_override: float | None = None) -> DecoderStep:
+        """One free-running step; ``weights`` is ``decoder_input_weights()``.
+        Decoding is styled exactly when ``style_ids`` is given."""
         B = x_emb.shape[0]
-        w_emb, w_ctx = self.decoder_input_weights()
-        x_proj = ad.matmul(x_emb, w_emb) + self.params["dec.bi"]
-        h, context, weights = self.advance(x_proj, h_prev, enc, w_ctx)
-        gate = self.predict_relevance(h_prev)
-        applied = gate
-        if styled:
-            if style_ids is None:
-                raise ValueError("styled decoding requires target style ids")
+        x_proj = ad.matmul(x_emb, weights[0]) + self.params["dec.bi"]
+        h = self.advance(x_proj, h_prev, enc, weights[1])
+        gate = applied = self.predict_relevance(h_prev)
+        revised = h
+        if style_ids is not None:
             if gate_override is not None:
                 applied = constant(np.full(B, float(gate_override)))
             delta = self.delta_h(x_emb, h_prev, style_ids)
             revised = h + applied.reshape(B, 1) * delta
-        else:
-            revised = h
-        return DecoderStep(h, revised, context, weights, self.output_logits(revised), gate,
-                           applied)
+        return DecoderStep(h, revised, self.output_logits(revised), gate, applied)
 
     # ------------------------------------------------------------------
     def teacher_forced_pass(self, batch, corrupted_enc_ids: np.ndarray | None = None):
@@ -273,10 +268,36 @@ class Seq2seqModel(ParamMixin):
         prev, states = [], []
         for j in range(batch.dec_inputs.shape[1]):
             prev.append(h)
-            h = self.advance(ad.select(x_proj, 1, j), h, enc, w_ctx)[0]
+            h = self.advance(ad.select(x_proj, 1, j), h, enc, w_ctx)
             states.append(h)
         return (self.output_logits(ad.stack(states, axis=1)),
                 self.predict_relevance(ad.stack(prev, axis=1)))
+
+    def _free_run(self, ids: np.ndarray, lengths: np.ndarray, max_len: int,
+                  style_ids: np.ndarray | None, gate_override: float | None,
+                  emit) -> np.ndarray:
+        """The decoder loop of both generators, until every row has emitted
+        EOS. ``emit(j, step, open_rows)`` keeps step j's output and returns the
+        emitted ids and a function for the next input, called only if a step
+        follows. Returns each row's first EOS step, ``max_len`` if none."""
+        B = ids.shape[0]
+        enc = self.encode(ids, lengths)
+        weights = self.decoder_input_weights()
+        h = enc.final
+        x = self.embed(np.full(B, BOS, dtype=np.int64))
+        realized = np.full(B, max_len, dtype=np.int64)
+        open_rows = np.ones(B, dtype=bool)
+        for j in range(max_len):
+            step = self.decode_step(x, h, enc, weights, style_ids, gate_override)
+            h = step.revised
+            emitted, next_input = emit(j, step, open_rows)
+            hit_eos = open_rows & (emitted == EOS)
+            realized[hit_eos] = j
+            open_rows &= ~hit_eos
+            if j + 1 == max_len or not open_rows.any():
+                break
+            x = next_input()
+        return realized
 
     def generate_greedy(self, ids: np.ndarray, lengths: np.ndarray,
                         target_style: int | np.ndarray | None = None,
@@ -287,31 +308,18 @@ class Seq2seqModel(ParamMixin):
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         B = ids.shape[0]
         style_ids = target_style_ids(target_style, B) if styled else None
+        tokens = np.full((B, max_len), PAD, dtype=np.int64)
+        gates = np.zeros((B, max_len))
+
+        def argmax(j, step, open_rows):
+            nxt = np.where(open_rows, step.logits.values.argmax(axis=1), EOS)
+            tokens[:, j] = nxt
+            gates[:, j] = step.applied_gate.values
+            return nxt, lambda: self.embed(nxt)
+
         with ad.no_grad():
-            enc = self.encode(ids, lengths)
-            h = enc.final
-            tokens = np.full((B, max_len), PAD, dtype=np.int64)
-            gates = np.zeros((B, max_len))
-            done = np.zeros(B, dtype=bool)
-            prev = np.full(B, BOS, dtype=np.int64)
-            for j in range(max_len):
-                step = self.decode_step(self.embed(prev), h, enc, style_ids=style_ids,
-                                        styled=styled, gate_override=gate_override)
-                h = step.revised
-                nxt = step.logits.values.argmax(axis=1)
-                gates[:, j] = step.applied_gate.values
-                nxt[done] = EOS
-                tokens[:, j] = nxt
-                done |= nxt == EOS
-                if done.all():
-                    break
-                prev = nxt
-        out = []
-        for b in range(B):
-            row = tokens[b]
-            stop = np.where(row == EOS)[0]
-            out.append(row[:stop[0]].tolist() if len(stop) else row.tolist())
-        return out, gates
+            realized = self._free_run(ids, lengths, max_len, style_ids, gate_override, argmax)
+        return [tokens[b, :realized[b]].tolist() for b in range(B)], gates
 
     def generate_soft(self, ids: np.ndarray, lengths: np.ndarray, target_style,
                       max_len: int = 16, tau: float = 0.5,
@@ -328,32 +336,22 @@ class Seq2seqModel(ParamMixin):
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         if tau <= 0:
             raise ValueError(f"tau must be positive, got {tau}")
-        B = ids.shape[0]
-        style_ids = target_style_ids(target_style, B)
-        enc = self.encode(ids, lengths)
-        h = enc.final
-        x = self.embed(np.full(B, BOS, dtype=np.int64))
+        style_ids = target_style_ids(target_style, ids.shape[0])
         rows, dists, gates, applied = [], [], [], []
-        realized = np.full(B, max_len, dtype=np.int64)
-        open_mask = np.ones(B, dtype=bool)
-        for j in range(max_len):
-            step = self.decode_step(x, h, enc, style_ids=style_ids, styled=True,
-                                    gate_override=gate_override)
-            h = step.revised
+
+        def gumbel_softmax(j, step, open_rows):
             noisy = step.logits
             if gumbel_noise is not None:
                 noisy = noisy + constant(gumbel_noise[j])
             row = ad.softmax(noisy * (1.0 / tau), axis=-1)
-            hit_eos = open_mask & (row.values.argmax(axis=1) == EOS)
-            realized[hit_eos] = j
-            open_mask &= ~hit_eos
             rows.append(row)
             dists.append(ad.softmax(step.logits, axis=-1))
             gates.append(step.gate)
             applied.append(step.applied_gate)
-            if not open_mask.any():
-                break
-            x = ad.matmul(row, self.params["emb"])
+            return row.values.argmax(axis=1), lambda: ad.matmul(row, self.params["emb"])
+
+        realized = self._free_run(ids, lengths, max_len, style_ids, gate_override,
+                                  gumbel_softmax)
         return SoftSentence(rows, dists, gates, realized, applied)
 
 

@@ -52,15 +52,20 @@ def composed_gru(gi, h, u, bh):
     return (1.0 - z) * n + z * h
 
 
-def graph_nodes(loss) -> int:
+def graph(loss) -> list:
     """Tensors reachable from ``loss`` through its parent links, itself included."""
-    seen, stack = {id(loss)}, [loss]
+    seen, nodes, stack = {id(loss)}, [loss], [loss]
     while stack:
         for p in stack.pop()._parents:
             if id(p) not in seen:
                 seen.add(id(p))
+                nodes.append(p)
                 stack.append(p)
-    return len(seen)
+    return nodes
+
+
+def graph_nodes(loss) -> int:
+    return len(graph(loss))
 
 
 def per_step_fluency_loss(lm_forward, lm_backward, soft, target_style):

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from _oracles import graph
 
 from restyle import autodiff as ad
 from restyle.autodiff import constant, finite_difference_check
-from restyle.data import EOS, pack_batch
+from restyle.data import EOS, PAD, pack_batch
 from restyle.seq2seq import Seq2seqModel, sample_gumbel
 
 
@@ -49,29 +52,33 @@ class TestEncoder:
 
 
 class TestAttention:
+    # the weights are seen through the context: large states on the padding make
+    # any weight that leaks onto it show
     def test_single_unmasked_position_gets_all_weight(self, tiny_model):
         with ad.no_grad():
             enc = tiny_model.encode(np.array([[4, 0, 0]]), np.array([1]))
+            states = enc.states.values.copy()
+            states[0, 1:] = 1e6
             h = constant(np.zeros((1, tiny_model.hidden_dim)))
-            context, weights = tiny_model.attend(h, enc)
-        np.testing.assert_allclose(weights.values, [[1.0, 0.0, 0.0]], atol=1e-12)
-        np.testing.assert_allclose(context.values[0], enc.states.values[0, 0], atol=1e-12)
+            context = tiny_model.attend(h, replace(enc, states=constant(states)))
+        np.testing.assert_allclose(context.values[0], states[0, 0], atol=1e-12)
 
     def test_weights_sum_to_one_only_on_real_tokens(self, tiny_model):
         batch = tiny_batch()
         with ad.no_grad():
             enc = tiny_model.encode(batch.enc_ids, batch.lengths)
-            _, weights = tiny_model.attend(enc.final, enc)
-        np.testing.assert_allclose(weights.values.sum(axis=1), [1.0, 1.0], atol=1e-9)
-        assert weights.values[1, 3] == 0.0
+            # unit states on real tokens: the context is the weights' sum there
+            states = np.where(batch.token_mask[:, :, None] > 0, 1.0, 1e6)
+            states = np.broadcast_to(states, enc.states.shape)
+            context = tiny_model.attend(enc.final, replace(enc, states=constant(states)))
+        np.testing.assert_allclose(context.values, 1.0, atol=1e-9)
 
     def test_uniform_scores_average_states(self, tiny_model):
         tiny_model.params["attn.v"].values[...] = 0.0
         batch = pack_batch([[4, 5, 6]])
         with ad.no_grad():
             enc = tiny_model.encode(batch.enc_ids, batch.lengths)
-            context, weights = tiny_model.attend(enc.final, enc)
-        np.testing.assert_allclose(weights.values, np.full((1, 3), 1 / 3), atol=1e-12)
+            context = tiny_model.attend(enc.final, enc)
         np.testing.assert_allclose(context.values[0], enc.states.values[0].mean(axis=0),
                                    atol=1e-12)
 
@@ -94,16 +101,16 @@ class TestDecodeStep:
         batch = pack_batch([[4, 5, 6]])
         enc = model.encode(batch.enc_ids, batch.lengths)
         x = model.embed(np.array([4]))
-        return enc, x, enc.final
+        return enc, x, enc.final, model.decoder_input_weights()
 
     def test_gate_zero_matches_basic(self, tiny_model):
         tiny_model.params["style.w2"].values[...] = np.random.default_rng(0).normal(
             size=tiny_model.params["style.w2"].shape)
         with ad.no_grad():
-            enc, x, h = self._setup(tiny_model)
-            basic = tiny_model.decode_step(x, h, enc, styled=False)
-            gated = tiny_model.decode_step(x, h, enc, style_ids=np.array([1]),
-                                           styled=True, gate_override=0.0)
+            enc, x, h, w = self._setup(tiny_model)
+            basic = tiny_model.decode_step(x, h, enc, w)
+            gated = tiny_model.decode_step(x, h, enc, w, style_ids=np.array([1]),
+                                           gate_override=0.0)
         np.testing.assert_array_equal(gated.revised.values, basic.hidden.values)
         np.testing.assert_array_equal(gated.logits.values, basic.logits.values)
 
@@ -111,9 +118,9 @@ class TestDecodeStep:
         tiny_model.params["style.w2"].values[...] = np.random.default_rng(1).normal(
             size=tiny_model.params["style.w2"].shape)
         with ad.no_grad():
-            enc, x, h = self._setup(tiny_model)
-            step = tiny_model.decode_step(x, h, enc, style_ids=np.array([0]),
-                                          styled=True, gate_override=1.0)
+            enc, x, h, w = self._setup(tiny_model)
+            step = tiny_model.decode_step(x, h, enc, w, style_ids=np.array([0]),
+                                          gate_override=1.0)
             delta = tiny_model.delta_h(x, h, np.array([0]))
         np.testing.assert_allclose(step.revised.values,
                                    step.hidden.values + delta.values, atol=1e-12)
@@ -134,8 +141,8 @@ class TestDecodeStep:
         def loss_fn():
             enc = tiny_model.encode(batch.enc_ids, batch.lengths)
             x = tiny_model.embed(np.array([5]))
-            step = tiny_model.decode_step(x, enc.final, enc,
-                                          style_ids=np.array([1]), styled=True)
+            step = tiny_model.decode_step(x, enc.final, enc, tiny_model.decoder_input_weights(),
+                                          style_ids=np.array([1]))
             return (step.logits * step.logits).sum()
 
         params = [tiny_model.params[k] for k in
@@ -148,10 +155,10 @@ class TestTeacherForcing:
     def _loop(self, model, batch):
         """Teacher forcing spelled out as one basic ``decode_step`` per position."""
         enc = model.encode(batch.enc_ids, batch.lengths)
-        h = enc.final
+        h, weights = enc.final, model.decoder_input_weights()
         logits, gates = [], []
         for j in range(batch.dec_inputs.shape[1]):
-            step = model.decode_step(model.embed(batch.dec_inputs[:, j]), h, enc)
+            step = model.decode_step(model.embed(batch.dec_inputs[:, j]), h, enc, weights)
             h = step.revised
             logits.append(step.logits)
             gates.append(step.gate)
@@ -237,3 +244,32 @@ class TestGenerate:
             soft = tiny_model.generate_soft(batch.enc_ids, batch.lengths, 1,
                                             max_len=6, tau=0.5)
         assert soft.lengths.tolist() == [0]
+
+    def test_soft_generation_splits_decoder_weights_once(self, tiny_model):
+        # no row emits EOS, so the generation runs all T steps
+        tiny_model.params["out.b"].values[EOS] = -50.0
+        batch, T = tiny_batch(), 5
+        soft = tiny_model.generate_soft(batch.enc_ids, batch.lengths, 1, max_len=T, tau=0.5)
+        assert len(soft.rows) == T
+        w = tiny_model.params["dec.w"]
+        splits = [t for t in graph(soft.stacked_rows().sum())
+                  if t._parents == (w,) and t._bwd.__qualname__.startswith("narrow.")]
+        assert len(splits) == 2
+
+    def test_soft_lengths_equal_greedy_lengths_at_low_temperature(self, tiny_model):
+        # a fixed random model whose rows are one-hot to 1e-9 at tau = 1e-3: both
+        # emission rules emit the same ids, so the one stop rule gives one length
+        rng = np.random.default_rng(3)
+        for p in tiny_model.params.values():
+            p.values[...] = rng.uniform(-3.0, 3.0, size=p.shape)
+        tiny_model.params["emb"].values[PAD] = 0.0
+        tiny_model.params["out.b"].values[EOS] += 1.0
+        batch = pack_batch([[4, 5, 6, 7], [8, 9, 10], [5, 4], [11, 6, 9, 7, 4], [7], [9, 9, 10]])
+        tokens, _ = tiny_model.generate_greedy(batch.enc_ids, batch.lengths, 1, max_len=8)
+        with ad.no_grad():
+            soft = tiny_model.generate_soft(batch.enc_ids, batch.lengths, 1, max_len=8,
+                                            tau=1e-3)
+        rows = soft.stacked_rows().values
+        up_to_eos = np.arange(rows.shape[1])[None, :] <= soft.lengths[:, None]
+        assert (1.0 - rows.max(axis=2))[up_to_eos].max() < 1e-9
+        assert soft.lengths.tolist() == [len(t) for t in tokens] == [0, 4, 3, 0, 4, 8]

@@ -121,9 +121,3 @@ class TestEstimatorApi:
         clf = TextCnnStyleClassifier(vocab_size=10, embed_dim=8)
         params = clf.get_params()
         assert params["embed_dim"] == 8
-        clf.set_params(embed_dim=16)
-        assert clf.embed_dim == 16
-
-    def test_invalid_param_rejected(self):
-        with pytest.raises(ValueError, match="invalid parameter"):
-            TextCnnStyleClassifier().set_params(bogus=1)

@@ -20,6 +20,11 @@ records:
   before clipping (kept beside the record, not in it);
 * ``lm``: the dev perplexity of each pickled LM; and of each LM fit again with
   its workload settings and seed, with the refit weights' hash;
+* ``transfer``: for the pickled stage-1 model and for the model after the
+  recorded stage-2 steps, the greedy token lists and gate matrices of the
+  corpus's test sentences toward the opposite style, styled, with
+  ``gate_override=0.0`` and with ``styled=False``. The output keeps a digest of
+  each, with the count of sentences whose tokens differ;
 * ``cli``: ``train-classifier``, ``train-lm``, ``train-stage1`` and
   ``train-stage2`` run through ``restyle.cli.main`` on a small generated
   corpus (the seed is the corpus seed and ``run.root_seed``) with a small
@@ -55,6 +60,8 @@ import numpy as np
 
 STAGE1_SEED = 7
 STAGE2_TERMS = ("l_st", "l_ylambda", "l_cp", "l_lm")
+TRANSFER_MODES = {"styled": {}, "gate_override_0": {"gate_override": 0.0},
+                  "unstyled": {"styled": False}}
 
 CLI_CONFIG = """
 [run]
@@ -132,6 +139,29 @@ def record_first_grads(optimizer, params: dict) -> dict:
     return grads
 
 
+def transfer_record(model, corpus, max_len: int) -> dict:
+    """Per mode of ``TRANSFER_MODES``: greedy token lists and gate rows of the
+    test sentences toward the opposite style, in input order."""
+    from restyle.pipeline import transfer_sentences
+
+    labels = np.asarray(corpus.test.labels)
+    record = {}
+    for mode, kwargs in TRANSFER_MODES.items():
+        tokens, gates = [None] * len(labels), [None] * len(labels)
+        for style in (0, 1):
+            idx = np.where(labels == style)[0]
+            outs, rows = transfer_sentences(model, [corpus.test.sentences[i] for i in idx],
+                                            1 - style, max_len=max_len, **kwargs)
+            for i, out, row in zip(idx, outs, rows):
+                tokens[i], gates[i] = out, row.tolist()
+        record[mode] = {"tokens": tokens, "gates": gates}
+    return record
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
 def worker_record(checkout: Path, seed: int, start: Path, steps: int, out: Path) -> None:
     workloads = _import_from(checkout)
     from restyle import data, training
@@ -165,12 +195,14 @@ def worker_record(checkout: Path, seed: int, start: Path, steps: int, out: Path)
             "refit_held_out_perplexity": refit.dev_perplexity_,
             "refit_weights_hash": refit.weights_hash()}
 
+    record["transfer"] = {"stage1": transfer_record(models.model, corpus, workloads.MAX_LEN)}
     trainer = workloads.stage2_trainer(models, corpus, seed, workloads.FINETUNE_MAX_LEN)
     grads2 = record_first_grads(trainer.optimizer, models.model.params)
     trainer.train(max_steps=steps)
     record["stage2"] = {"loss_totals": [row["total"] for row in trainer.log.rows],
                         "terms": {t: [row[t] for row in trainer.log.rows] for t in STAGE2_TERMS},
                         "params_hash": params_hash(models.model.params)}
+    record["transfer"]["stage2"] = transfer_record(models.model, corpus, workloads.MAX_LEN)
     out.write_text(json.dumps(record))
     np.savez(grads_path(out), **{f"stage1/{k}": g for k, g in grads1.items()},
              **{f"stage2/{k}": g for k, g in grads2.items()})
@@ -252,6 +284,16 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
         rec[tag]["cli"] = json.loads((tmp / f"cli-{tag}.json").read_text())
     p, c = rec["parent"], rec["change"]
     records = (tmp / "record-parent.json", tmp / "record-change.json")
+    transfer_gaps = {f"{model}.{mode}": sum(a != b for a, b in zip(
+        p["transfer"][model][mode]["tokens"], c["transfer"][model][mode]["tokens"], strict=True))
+        for model in p["transfer"] for mode in TRANSFER_MODES}
+    transfer_identical = p["transfer"] == c["transfer"]
+    for r in rec.values():
+        r["transfer"] = {model: {mode: {"sentences": len(v["tokens"]),
+                                        "tokens_sha256": digest(v["tokens"]),
+                                        "gates_sha256": digest(v["gates"])}
+                                 for mode, v in modes.items()}
+                         for model, modes in r["transfer"].items()}
     ppl_gap = max(abs(p["lm"][k][f] - c["lm"][k][f]) / p["lm"][k][f]
                   for k in p["lm"]
                   for f in ("dev_perplexity", "refit_dev_perplexity", "refit_held_out_perplexity"))
@@ -273,6 +315,8 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
                                           == c["lm"][k]["refit_weights_hash"] for k in p["lm"]),
         "lm_max_relative_perplexity_gap": ppl_gap,
         "cli_identical": p["cli"] == c["cli"],
+        "transfer_identical": transfer_identical,
+        "transfer_differing_sentences": transfer_gaps,
         **rec,
     }
 

@@ -22,8 +22,10 @@ every run of the change reads below (above) every run of the parent; else
 ``unresolved`` when either side's quartile spread exceeds the metric's bound
 in ``BENCHMARK.json``; else ``lower`` or ``higher`` when the change wins (or
 loses) at least nine pairs in ten and its median moves by more than the
-parent's quartile range; else ``no demonstrated change``; traced runs are listed per layer metric, and
-``--equivalence`` includes a ``tools/equivalence.py`` result.
+parent's quartile range; else ``no demonstrated change``. Each workload also
+names the checks that failed, by side and seed, as the runs reported them.
+Traced runs are listed per layer metric, and ``--equivalence`` includes a
+``tools/equivalence.py`` result.
 """
 
 from __future__ import annotations
@@ -133,6 +135,10 @@ def cmd_summary(args) -> None:
         entry = {"seeds": seeds, "pairs": len(seeds),
                  "all_checks_passed": all(p["result"]["correct"]
                                           for v in pairs.values() for p in v.values()),
+                 "checks_failed": {side: {str(s): pairs[s][side]["info"]["checks_failed"]
+                                          for s in seeds
+                                          if pairs[s][side]["info"]["checks_failed"]}
+                                   for side in ("parent", "change")},
                  "failed_operations": {side: sum(pairs[s][side]["result"]["failed"]
                                                  for s in seeds)
                                        for side in ("parent", "change")},
