@@ -271,26 +271,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.values)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g * out
-
-    return _node(out, (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    out = np.log(a.values)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g / a.values
-
-    return _node(out, (a,), bwd)
-
-
 def absolute(a: Tensor) -> Tensor:
     out = np.abs(a.values)
 

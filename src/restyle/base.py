@@ -13,6 +13,8 @@ import inspect
 
 import numpy as np
 
+from restyle.checkpoint import params_hash
+
 
 class ParamMixin:
     """get_params driven by the __init__ signature."""
@@ -29,6 +31,23 @@ class ParamMixin:
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in sorted(self.get_params().items()))
         return f"{type(self).__name__}({args})"
+
+
+class Estimator(ParamMixin):
+    """A model whose weights, ``params_``, are built by ``fit``."""
+
+    def parameters(self) -> dict:
+        check_fitted(self, "params_")
+        return self.params_
+
+    def set_trainable(self, flag: bool) -> None:
+        for p in self.params_.values():
+            p.requires_grad = flag
+            if not flag:
+                p.zero_grad()
+
+    def weights_hash(self) -> str:
+        return params_hash(self.parameters())
 
 
 def check_fitted(estimator, attribute: str) -> None:

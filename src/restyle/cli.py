@@ -178,17 +178,13 @@ def load_model(path: Path, kind: str, vocab: Vocabulary, what: str | None = None
 
 
 def run_lrp(run_dir: Path) -> tuple[float | None, float | None]:
-    """The (eta, epsilon) stage 1 trained with. Eta comes from manifest.json,
-    else from the stage1.ckpt header; epsilon from the stage1.ckpt header.
+    """The (eta, epsilon) stage 1 trained with, from the stage1.ckpt header.
     Each is None when the run does not record it."""
     header = {}
     ckpt = run_dir / "stage1.ckpt"
     if ckpt.exists():
         header, _ = load_checkpoint(ckpt)
     eta = header.get("eta")
-    manifest = run_dir / "manifest.json"
-    if manifest.exists():
-        eta = json.loads(manifest.read_text()).get("eta", eta)
     epsilon = header.get("epsilon")
     return (None if eta is None else float(eta),
             None if epsilon is None else float(epsilon))
@@ -268,7 +264,7 @@ def _load_lms(run_dir: Path, vocab: Vocabulary) -> dict:
 
 
 def stage2_ablation(args, cfg: ExperimentConfig) -> frozenset:
-    """Ablation flags of a stage-2 command: ``--variant`` when given, else
+    """Ablation variants of a stage-2 command: ``--variant`` when given, else
     ``stage2.ablation``."""
     return resolve_ablation(args.variant) if args.variant else cfg.stage2.ablation
 
@@ -283,9 +279,9 @@ def cmd_train_stage2(args, cfg: ExperimentConfig) -> int:
     train = load_split(cfg, vocab, "train")
     ablation = stage2_ablation(args, cfg)
     variant = ablation_name(ablation)
-    if "nsc_off" in ablation:
+    if "no-nsc" in ablation:
         raise CliError("variant no-nsc has no stage-2 training; evaluate stage1.ckpt instead")
-    if "lxlambda_off" in ablation and not header.get("lxlambda_off", False):
+    if "no-lxlambda" in ablation and not header.get("lxlambda_off", False):
         raise CliError("variant no-lxlambda needs a stage1.ckpt trained with "
                        "stage1.lxlambda_off = true; retrain stage 1 with it first")
     cfg.stage2.ablation = ablation
@@ -452,7 +448,7 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
     test = load_split(cfg, vocab, "test")
     references = _load_references(cfg, test)
 
-    if "nsc_off" in ablation:
+    if "no-nsc" in ablation:
         model, _ = load_model(run_dir / "stage1.ckpt", "seq2seq", vocab, "stage1 checkpoint")
         styled = False
     else:
@@ -464,7 +460,7 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
                               "stage2 checkpoint")
         styled = True
     sentences = [vocab.decode(s) for s in test.sentences]
-    gate_override = 1.0 if "gate_off" in ablation else None
+    gate_override = 1.0 if "nsc-lambda" in ablation else None
     report, _ = evaluate_transfer(model, clf, vocab, sentences, test.labels,
                                   references, max_len=cfg.data.max_len,
                                   gate_override=gate_override, styled=styled)

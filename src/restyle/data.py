@@ -78,9 +78,7 @@ class LabeledCorpus:
         return len(self.sentences)
 
     def by_style(self, style: int) -> "LabeledCorpus":
-        keep = [i for i, s in enumerate(self.labels) if s == style]
-        return LabeledCorpus([self.sentences[i] for i in keep],
-                             [self.labels[i] for i in keep])
+        return self.subset([i for i, s in enumerate(self.labels) if s == style])
 
     def subset(self, indices) -> "LabeledCorpus":
         return LabeledCorpus([self.sentences[i] for i in indices],
@@ -123,7 +121,6 @@ class Batch:
     target_mask: np.ndarray    # (B, T+1) 1.0 on real tokens + EOS
     token_mask: np.ndarray     # (B, T)   1.0 on real tokens only
     labels: np.ndarray         # (B,)
-    indices: np.ndarray        # (B,) positions in the source corpus
 
 
 class Batcher:
@@ -156,11 +153,10 @@ class Batcher:
                 logger.debug("truncated sentence %d to %d tokens", i, self.max_len)
             seqs.append(s)
         labels = np.array([self.corpus.labels[int(i)] for i in indices], dtype=np.int64)
-        return pack_batch(seqs, labels, indices, min_width=self.min_width)
+        return pack_batch(seqs, labels, min_width=self.min_width)
 
 
-def pack_batch(seqs: list[list[int]], labels=None, indices=None,
-               min_width: int = 1) -> Batch:
+def pack_batch(seqs: list[list[int]], labels=None, min_width: int = 1) -> Batch:
     B = len(seqs)
     T = max(max((len(s) for s in seqs), default=1), min_width)
     enc = np.full((B, T), PAD, dtype=np.int64)
@@ -181,10 +177,7 @@ def pack_batch(seqs: list[list[int]], labels=None, indices=None,
         kmask[b, :L] = 1.0
     if labels is None:
         labels = np.zeros(B, dtype=np.int64)
-    if indices is None:
-        indices = np.arange(B)
-    return Batch(enc, lengths, dec_in, tgt, tmask, kmask,
-                 np.asarray(labels), np.asarray(indices))
+    return Batch(enc, lengths, dec_in, tgt, tmask, kmask, np.asarray(labels))
 
 
 def train_dev_split(corpus: LabeledCorpus, dev_fraction: float, seed: int):

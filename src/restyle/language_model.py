@@ -16,15 +16,14 @@ import numpy as np
 
 from restyle import autodiff as ad
 from restyle.autodiff import Tensor, constant, parameter
-from restyle.base import ParamMixin, check_fitted, check_token_sequences
-from restyle.checkpoint import params_hash
-from restyle.data import BOS, EOS, PAD, LabeledCorpus, Batcher, pack_batch, train_dev_split
+from restyle.base import Estimator, check_fitted, check_token_sequences
+from restyle.data import BOS, PAD, LabeledCorpus, Batcher, pack_batch, train_dev_split
 from restyle.seq2seq import GruCell, SoftSentence
 
 logger = logging.getLogger(__name__)
 
 
-class DirectionalLanguageModel(ParamMixin):
+class DirectionalLanguageModel(Estimator):
     """Next-token GRU model for one (style, direction) pair."""
 
     def __init__(self, vocab_size=None, style=None, direction="forward",
@@ -61,19 +60,6 @@ class DirectionalLanguageModel(ParamMixin):
                                name="lm.out.w")
         p["out.b"] = parameter(np.zeros(self.vocab_size), name="lm.out.b")
         self.params_ = p
-
-    def parameters(self) -> dict[str, Tensor]:
-        check_fitted(self, "params_")
-        return self.params_
-
-    def set_trainable(self, flag: bool) -> None:
-        for p in self.params_.values():
-            p.requires_grad = flag
-            if not flag:
-                p.zero_grad()
-
-    def weights_hash(self) -> str:
-        return params_hash(self.parameters())
 
     def _oriented(self, seqs: list[list[int]]) -> list[list[int]]:
         if self.direction == "backward":
@@ -116,19 +102,15 @@ class DirectionalLanguageModel(ParamMixin):
                     self.style, self.direction, self.dev_perplexity_)
         return self
 
-    def perplexity(self, X, already_oriented: bool = False,
-                   include_eos: bool = True) -> float:
+    def perplexity(self, X, already_oriented: bool = False) -> float:
         check_fitted(self, "params_")
         seqs = X if already_oriented else self._oriented(check_token_sequences(X))
         total_nll, total_tokens = 0.0, 0
         with ad.no_grad():
             for lo in range(0, len(seqs), 64):
                 batch = pack_batch(seqs[lo:lo + 64])
-                mask = batch.target_mask
-                if not include_eos:
-                    mask = mask * (batch.targets != EOS)
-                total_nll += float(self._token_nll(batch, mask).values.sum())
-                total_tokens += int(mask.sum())
+                total_nll += float(self._token_nll(batch, batch.target_mask).values.sum())
+                total_tokens += int(batch.target_mask.sum())
         return float(np.exp(total_nll / max(total_tokens, 1)))
 
 

@@ -32,13 +32,9 @@ from restyle.textcnn import ClassifierTrace, TextCnnStyleClassifier
 
 @dataclass
 class RelevanceMap:
-    """Per-layer relevance vectors for one batch of inputs."""
+    """Layer-0 relevance of one batch of inputs."""
 
-    r_logits: Tensor         # (B, 2) one-hot at target-class logit value
-    r_features: Tensor       # (B, n_widths*F)
-    r_embedding: Tensor      # (B, T, E) layer-0 relevance per embedding coordinate
-    target_class: np.ndarray
-    stabilizer: float
+    r_embedding: Tensor      # (B, T, E) relevance per embedding coordinate
     fallback_events: int = 0
 
 
@@ -49,8 +45,6 @@ class WordRelevance:
 
     lam: Tensor              # (B, T)
     raw: Tensor              # (B, T) signed raw relevance per token
-    eta: float
-    epsilon: float
 
 
 def zrule_backward(v_in: Tensor, weights: Tensor, r_out: Tensor,
@@ -99,7 +93,7 @@ def propagate(clf: TextCnnStyleClassifier, trace: ClassifierTrace,
     offset = 0
     F = clf.num_filters
     for w in clf.filter_widths:
-        P = trace.activations[w].shape[1]
+        P = trace.windows[w].shape[1]
         r_pool = ad.narrow(r_feats, 1, offset, F)
         offset += F
         route = np.zeros((B, P, F))
@@ -111,7 +105,7 @@ def propagate(clf: TextCnnStyleClassifier, trace: ClassifierTrace,
         events += ev
         r_emb_w = ad.fold(r_win.reshape(B, P, w, E), T)
         r_emb = r_emb_w if r_emb is None else r_emb + r_emb_w
-    return RelevanceMap(r_logits, r_feats, r_emb, tc, stabilizer, events)
+    return RelevanceMap(r_emb, events)
 
 
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
@@ -134,7 +128,7 @@ def word_relevance(rmap: RelevanceMap, eta: float, epsilon: float) -> WordReleva
     scale = (lam.values >= epsilon).astype(float)
     scale[lam.values == 1.0] = _BELOW_ONE
     lam = lam * constant(scale)
-    return WordRelevance(lam, raw, eta, epsilon)
+    return WordRelevance(lam, raw)
 
 
 def hard_word_relevance(clf: TextCnnStyleClassifier, ids: np.ndarray,

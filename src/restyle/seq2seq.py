@@ -12,13 +12,14 @@ head-predicted word relevance and delta comes from an MLP over (previous
 embedding, previous revised state, target-style embedding). The MLP's output
 layer starts at zero, so styled decoding initially reproduces basic decoding
 exactly. Free-running decoding is one loop with two emission rules: greedy
-emits the argmax and feeds back its embedding, soft emits
-softmax((logits + g) / tau) and feeds back the expected embedding.
+emits the argmax and feeds back its row of the embedding table, soft emits
+softmax((logits + g) / tau) and feeds back the expected embedding, so a
+one-hot soft row feeds what greedy feeds, PAD included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +51,7 @@ class EncoderState:
 
 @dataclass
 class DecoderStep:
-    hidden: Tensor            # (B, H) raw GRU state
-    revised: Tensor           # (B, H) gated revision (== hidden in basic mode)
+    revised: Tensor           # (B, H) gated revision (the raw GRU state in basic mode)
     logits: Tensor            # (B, V)
     gate: Tensor              # (B,) head-predicted relevance of this step's word
     applied_gate: Tensor      # (B,) value actually used in the revision
@@ -65,7 +65,6 @@ class SoftSentence:
     dists: list               # step-wise model distributions softmax(logits), each (B, V)
     gates: list               # step-wise head-predicted relevance, each (B,)
     lengths: np.ndarray       # (B,) realized length: steps before first EOS argmax
-    applied_gates: list = field(default_factory=list)  # values used in the revision
 
     def stacked_rows(self) -> Tensor:
         return ad.stack(self.rows, axis=1)
@@ -252,7 +251,7 @@ class Seq2seqModel(ParamMixin):
                 applied = constant(np.full(B, float(gate_override)))
             delta = self.delta_h(x_emb, h_prev, style_ids)
             revised = h + applied.reshape(B, 1) * delta
-        return DecoderStep(h, revised, self.output_logits(revised), gate, applied)
+        return DecoderStep(revised, self.output_logits(revised), gate, applied)
 
     # ------------------------------------------------------------------
     def teacher_forced_pass(self, batch, corrupted_enc_ids: np.ndarray | None = None):
@@ -315,7 +314,7 @@ class Seq2seqModel(ParamMixin):
             nxt = np.where(open_rows, step.logits.values.argmax(axis=1), EOS)
             tokens[:, j] = nxt
             gates[:, j] = step.applied_gate.values
-            return nxt, lambda: self.embed(nxt)
+            return nxt, lambda: ad.gather_rows(self.params["emb"], nxt)
 
         with ad.no_grad():
             realized = self._free_run(ids, lengths, max_len, style_ids, gate_override, argmax)
@@ -337,7 +336,7 @@ class Seq2seqModel(ParamMixin):
         if tau <= 0:
             raise ValueError(f"tau must be positive, got {tau}")
         style_ids = target_style_ids(target_style, ids.shape[0])
-        rows, dists, gates, applied = [], [], [], []
+        rows, dists, gates = [], [], []
 
         def gumbel_softmax(j, step, open_rows):
             noisy = step.logits
@@ -347,12 +346,11 @@ class Seq2seqModel(ParamMixin):
             rows.append(row)
             dists.append(ad.softmax(step.logits, axis=-1))
             gates.append(step.gate)
-            applied.append(step.applied_gate)
             return row.values.argmax(axis=1), lambda: ad.matmul(row, self.params["emb"])
 
         realized = self._free_run(ids, lengths, max_len, style_ids, gate_override,
                                   gumbel_softmax)
-        return SoftSentence(rows, dists, gates, realized, applied)
+        return SoftSentence(rows, dists, gates, realized)
 
 
 def sample_gumbel(rng, shape, eps: float = 1e-12) -> np.ndarray:

@@ -109,12 +109,6 @@ def generate_marker_corpus(n_train: int = 10000, n_dev: int = 1000,
     return MarkerCorpus(tr_s, tr_l, dv_s, dv_l, te_s, te_l, te_r)
 
 
-def marker_positions(sentence: str) -> list[int]:
-    """Indices of marker tokens within the whitespace tokenization."""
-    all_markers = set(MARKERS[0]) | set(MARKERS[1])
-    return [i for i, tok in enumerate(sentence.split()) if tok in all_markers]
-
-
 def write_corpus_files(corpus: MarkerCorpus, directory) -> dict:
     """Write <split>.style{0,1}.txt plus aligned test inputs and references."""
     from pathlib import Path

@@ -16,8 +16,7 @@ import numpy as np
 
 from restyle import autodiff as ad
 from restyle.autodiff import Tensor, constant, parameter
-from restyle.base import ParamMixin, check_binary_labels, check_fitted, check_token_sequences
-from restyle.checkpoint import params_hash
+from restyle.base import Estimator, check_binary_labels, check_fitted, check_token_sequences
 from restyle.data import PAD, LabeledCorpus, Batcher, pack_batch, train_dev_split
 
 logger = logging.getLogger(__name__)
@@ -30,15 +29,12 @@ class ClassifierTrace:
 
     emb: Tensor                 # (B, T, E) token embeddings (zero at PAD)
     windows: dict               # width -> (B, P, w*E)
-    activations: dict           # width -> (B, P, F) tanh conv features
     pool_argmax: dict           # width -> (B, F) winning window per filter
     features: Tensor            # (B, n_widths*F) pooled feature vector
     logits: Tensor              # (B, 2)
-    seq_len: int
-    lengths: np.ndarray
 
 
-class TextCnnStyleClassifier(ParamMixin):
+class TextCnnStyleClassifier(Estimator):
     """Binary sentence classifier with width-{2,3,4} filter banks."""
 
     def __init__(self, vocab_size=None, embed_dim=64, num_filters=32,
@@ -81,19 +77,6 @@ class TextCnnStyleClassifier(ParamMixin):
         p["out.b"] = parameter(np.zeros(2), name="clf.out.b")
         self.params_ = p
 
-    def parameters(self) -> dict[str, Tensor]:
-        check_fitted(self, "params_")
-        return self.params_
-
-    def set_trainable(self, flag: bool) -> None:
-        for p in self.params_.values():
-            p.requires_grad = flag
-            if not flag:
-                p.zero_grad()
-
-    def weights_hash(self) -> str:
-        return params_hash(self.parameters())
-
     # ------------------------------------------------------------------
     def _embed_hard(self, ids: np.ndarray) -> Tensor:
         mask = constant((ids != PAD).astype(float)[:, :, None])
@@ -108,7 +91,7 @@ class TextCnnStyleClassifier(ParamMixin):
         if T < max(self.filter_widths):
             raise ValueError(
                 f"classifier input must be padded to >= {max(self.filter_widths)} columns")
-        windows, acts, argmaxes, pooled = {}, {}, {}, []
+        windows, argmaxes, pooled = {}, {}, []
         for w in self.filter_widths:
             P = T - w + 1
             win = ad.unfold(emb, w).reshape(B, P, w * E)
@@ -120,11 +103,10 @@ class TextCnnStyleClassifier(ParamMixin):
             masked = act + constant((valid[:, :, None] - 1.0) * ad.MASK_BIG)
             argmaxes[w] = np.argmax(masked.values, axis=1)
             pooled.append(ad.tmax(masked, axis=1))
-            windows[w], acts[w] = win, act
+            windows[w] = win
         feats = ad.concat(pooled, axis=1)
         logits = ad.matmul(feats, self.params_["out.w"]) + self.params_["out.b"]
-        return ClassifierTrace(emb, windows, acts, argmaxes, feats, logits,
-                               seq_len=T, lengths=lengths)
+        return ClassifierTrace(emb, windows, argmaxes, feats, logits)
 
     def forward_trace(self, ids: np.ndarray, lengths: np.ndarray) -> ClassifierTrace:
         check_fitted(self, "params_")

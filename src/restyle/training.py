@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -29,19 +29,9 @@ from restyle.textcnn import TextCnnStyleClassifier
 
 logger = logging.getLogger(__name__)
 
-ABLATION_FLAGS = ("nsc_off", "gate_off", "lxlambda_off", "lcp_prime",
-                  "lylambda_off", "llm_off", "freeze_stage1")
-
 # canonical ablation variants and their accepted spellings
-ABLATION_VARIANTS = {
-    "no-nsc": frozenset({"nsc_off"}),
-    "nsc-lambda": frozenset({"gate_off"}),
-    "no-lxlambda": frozenset({"lxlambda_off"}),
-    "lcp-prime": frozenset({"lcp_prime"}),
-    "no-lylambda": frozenset({"lylambda_off"}),
-    "no-lm": frozenset({"llm_off"}),
-    "no-finetune": frozenset({"freeze_stage1"}),
-}
+ABLATION_VARIANTS = ("no-nsc", "nsc-lambda", "no-lxlambda", "lcp-prime", "no-lylambda",
+                     "no-lm", "no-finetune")
 ABLATION_ALIASES = {
     "-nsc": "no-nsc",
     "nsc-lambda-yj": "nsc-lambda",
@@ -53,13 +43,14 @@ ABLATION_ALIASES = {
 }
 
 
-def ablation_name(flags: frozenset) -> str:
-    """Canonical name of a set of ablation flags: 'full' for none, else the
+def ablation_name(ablation: frozenset) -> str:
+    """Canonical name of a set of ablation variants: 'full' for none, else the
     variant names joined by '+'."""
-    return "+".join(sorted(name for name, f in ABLATION_VARIANTS.items() if f <= flags)) or "full"
+    return "+".join(sorted(ablation)) or "full"
 
 
 def resolve_ablation(variant: str) -> frozenset:
+    """The set of canonical variant names that one variant name or alias selects."""
     key = variant.strip().lower()
     key = ABLATION_ALIASES.get(key, key)
     if key == "full":
@@ -67,7 +58,7 @@ def resolve_ablation(variant: str) -> frozenset:
     if key not in ABLATION_VARIANTS:
         valid = ["full"] + sorted(ABLATION_VARIANTS) + sorted(ABLATION_ALIASES)
         raise ValueError(f"unknown ablation variant {variant!r}; expected one of {valid}")
-    return ABLATION_VARIANTS[key]
+    return frozenset({key})
 
 
 @dataclass
@@ -118,9 +109,9 @@ class Stage2Config:
     def __post_init__(self):
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("loss weights must be nonnegative")
-        unknown = set(self.ablation) - set(ABLATION_FLAGS)
+        unknown = set(self.ablation) - set(ABLATION_VARIANTS)
         if unknown:
-            raise ValueError(f"unknown ablation flags {sorted(unknown)}")
+            raise ValueError(f"unknown ablation variants {sorted(unknown)}")
 
 
 @dataclass
@@ -134,28 +125,24 @@ class LossBreakdown:
     total: float = 0.0
     grad_norm_preclip: float = 0.0
 
-    CSV_FIELDS = ("step", "l_sr", "l_xlambda", "l_st", "l_ylambda", "l_cp",
-                  "l_lm", "total", "grad_norm_preclip")
-
 
 class TrainLog:
-    """CSV log: one row per step with all six losses and the pre-clip norm."""
+    """CSV log: one row per step, the step number then every ``LossBreakdown``
+    field (all six losses, the total and the pre-clip norm)."""
 
     def __init__(self, path=None):
         self.path = path
         self.rows: list[dict] = []
         if path is not None:
             self._fh = open(path, "w", newline="", encoding="utf-8")
-            self._writer = csv.DictWriter(self._fh, fieldnames=LossBreakdown.CSV_FIELDS)
+            self._writer = csv.DictWriter(
+                self._fh, fieldnames=["step", *(f.name for f in fields(LossBreakdown))])
             self._writer.writeheader()
         else:
             self._fh = self._writer = None
 
     def record(self, step: int, br: LossBreakdown) -> None:
-        row = {"step": step, "l_sr": br.l_sr, "l_xlambda": br.l_xlambda,
-               "l_st": br.l_st, "l_ylambda": br.l_ylambda, "l_cp": br.l_cp,
-               "l_lm": br.l_lm, "total": br.total,
-               "grad_norm_preclip": br.grad_norm_preclip}
+        row = {"step": step, **asdict(br)}
         self.rows.append(row)
         if self._writer is not None:
             self._writer.writerow(row)
@@ -350,12 +337,12 @@ def stage2_losses(model: Seq2seqModel, classifier: TextCnnStyleClassifier, lms: 
     (max_len, B, V) gumbel noise, or None. Returns ``(soft, losses)``, where
     ``losses`` maps l_st, l_ylambda, l_cp, l_lm and total to scalar tensors,
     or is None when every generation has length 0. A term its weight or an
-    ablation flag switches off is the constant 0.
+    ablation variant switches off is the constant 0.
     """
-    gate_override = 1.0 if "gate_off" in cfg.ablation else None
-    alpha = 0.0 if "lylambda_off" in cfg.ablation else cfg.alpha
-    gamma = 0.0 if "llm_off" in cfg.ablation else cfg.gamma
-    lcp_prime = "lcp_prime" in cfg.ablation
+    gate_override = 1.0 if "nsc-lambda" in cfg.ablation else None
+    alpha = 0.0 if "no-lylambda" in cfg.ablation else cfg.alpha
+    gamma = 0.0 if "no-lm" in cfg.ablation else cfg.gamma
+    lcp_prime = "lcp-prime" in cfg.ablation
 
     target_style = 1 - source_style
     B = batch.enc_ids.shape[0]
@@ -435,7 +422,7 @@ class Stage2Trainer:
         for lm in self.lms.values():
             lm.set_trainable(False)
         groups = model.parameter_groups()
-        if "freeze_stage1" in cfg.ablation:
+        if "no-finetune" in cfg.ablation:
             names = groups["style"]
         else:
             names = groups["s2s"] + groups["head"] + groups["style"]
@@ -498,7 +485,3 @@ class Stage2Trainer:
                             return {"steps": self.step_count}
                 turn = 1 - turn
         return {"steps": self.step_count}
-
-
-def grads_all_zero(params: dict) -> bool:
-    return all((p._grad is None or not p._grad.any()) for p in params.values())

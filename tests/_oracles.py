@@ -3,6 +3,7 @@
 import numpy as np
 
 from restyle import autodiff as ad
+from restyle.synthetic import MARKERS
 
 
 def naive_zrule(v_in, weights, r_out, stabilizer):
@@ -117,3 +118,13 @@ def per_step_fluency_loss(lm_forward, lm_backward, soft, target_style):
     bwd = directional(lm_backward, rev_rows, rev_dists, mask)
 
     return (fwd + bwd) * 0.5
+
+
+def grads_all_zero(params: dict) -> bool:
+    return all((p._grad is None or not p._grad.any()) for p in params.values())
+
+
+def marker_positions(sentence: str) -> list[int]:
+    """Indices of marker tokens within the whitespace tokenization."""
+    all_markers = set(MARKERS[0]) | set(MARKERS[1])
+    return [i for i, tok in enumerate(sentence.split()) if tok in all_markers]

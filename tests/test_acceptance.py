@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import naive_zrule, random_two_layer_net
+from _oracles import grads_all_zero, marker_positions, naive_zrule, random_two_layer_net
 
 from restyle import autodiff as ad
 from restyle.autodiff import constant
@@ -23,7 +23,7 @@ from restyle.lrp import RelevanceMap, calibrate_eta, word_relevance
 from restyle.metrics import aggregate_scores
 from restyle.pipeline import evaluate_transfer
 from restyle.seq2seq import Seq2seqModel
-from restyle.synthetic import generate_marker_corpus, marker_positions
+from restyle.synthetic import generate_marker_corpus
 from restyle.textcnn import TextCnnStyleClassifier
 from restyle.training import (
     LambdaTargetCache,
@@ -32,7 +32,6 @@ from restyle.training import (
     Stage1Trainer,
     Stage2Config,
     Stage2Trainer,
-    grads_all_zero,
     resolve_ablation,
 )
 
@@ -227,9 +226,7 @@ class TestCriterion2LrpOracle:
 
 class TestCriterion3RelevanceMapping:
     def _wr(self, raw, eta=1.0, eps=0.3):
-        rmap = RelevanceMap(constant(np.zeros((1, 2))), constant(np.zeros((1, 2))),
-                            constant(np.asarray(raw, dtype=float)[None, :, None]),
-                            np.array([1]), 1e-9)
+        rmap = RelevanceMap(constant(np.asarray(raw, dtype=float)[None, :, None]))
         return word_relevance(rmap, eta, eps)
 
     def test_range_and_threshold(self, capsys):

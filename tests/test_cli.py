@@ -290,11 +290,13 @@ class TestPipelineCommands:
         assert manifest_eta == header_eta
         assert self._inspect_eta(cli_env, run_dir)[0] == manifest_eta
         assert self._inspect_eta(cli_env, run_dir, "--eta", "2.5")[0] == 2.5
-        # without a manifest the stage-1 checkpoint header supplies it
+        # the stage-1 checkpoint header supplies it, with or without a manifest
         bare = tmp_path / "no_manifest"
         bare.mkdir()
         for name in ("vocab.txt", "classifier.ckpt", "stage1.ckpt"):
             (bare / name).write_bytes((run_dir / name).read_bytes())
+        assert self._inspect_eta(cli_env, bare)[0] == header_eta
+        (bare / "manifest.json").write_text(json.dumps({"eta": header_eta + 1.0}))
         assert self._inspect_eta(cli_env, bare)[0] == header_eta
         capsys.readouterr()
 

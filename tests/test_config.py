@@ -85,7 +85,8 @@ filter_widths = 2, 3
 
     def test_ablation_names_parsed(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, "[stage2]\nablation = nsc-lambda\n"))
-        assert cfg.stage2.ablation == frozenset({"gate_off"})
+        assert cfg.stage2.ablation == frozenset({"nsc-lambda"})
+        assert cfg.to_dict()["stage2"]["ablation"] == ["nsc-lambda"]
 
     def test_replace_prob_validated(self):
         for prob in ("1.5", "-0.1"):

@@ -138,8 +138,8 @@ class TestBatching:
 
     def test_shuffle_reproducible_under_seed(self):
         corpus = LabeledCorpus([[4 + i] for i in range(50)], [0] * 50)
-        a = [b.indices.tolist() for b in Batcher(corpus, 8, 16, seed=9).epoch()]
-        b = [b.indices.tolist() for b in Batcher(corpus, 8, 16, seed=9).epoch()]
+        a = [b.enc_ids.tolist() for b in Batcher(corpus, 8, 16, seed=9).epoch()]
+        b = [b.enc_ids.tolist() for b in Batcher(corpus, 8, 16, seed=9).epoch()]
         assert a == b
 
     def test_min_width_padding(self):

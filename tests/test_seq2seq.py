@@ -111,7 +111,7 @@ class TestDecodeStep:
             basic = tiny_model.decode_step(x, h, enc, w)
             gated = tiny_model.decode_step(x, h, enc, w, style_ids=np.array([1]),
                                            gate_override=0.0)
-        np.testing.assert_array_equal(gated.revised.values, basic.hidden.values)
+        np.testing.assert_array_equal(gated.revised.values, basic.revised.values)
         np.testing.assert_array_equal(gated.logits.values, basic.logits.values)
 
     def test_gate_one_adds_full_revision(self, tiny_model):
@@ -119,11 +119,12 @@ class TestDecodeStep:
             size=tiny_model.params["style.w2"].shape)
         with ad.no_grad():
             enc, x, h, w = self._setup(tiny_model)
+            basic = tiny_model.decode_step(x, h, enc, w)
             step = tiny_model.decode_step(x, h, enc, w, style_ids=np.array([0]),
                                           gate_override=1.0)
             delta = tiny_model.delta_h(x, h, np.array([0]))
         np.testing.assert_allclose(step.revised.values,
-                                   step.hidden.values + delta.values, atol=1e-12)
+                                   basic.revised.values + delta.values, atol=1e-12)
 
     def test_unknown_style_rejected(self, tiny_model):
         # both generators check the style ids once, before decoding
@@ -257,19 +258,27 @@ class TestGenerate:
         assert len(splits) == 2
 
     def test_soft_lengths_equal_greedy_lengths_at_low_temperature(self, tiny_model):
-        # a fixed random model whose rows are one-hot to 1e-9 at tau = 1e-3: both
-        # emission rules emit the same ids, so the one stop rule gives one length
-        rng = np.random.default_rng(3)
-        for p in tiny_model.params.values():
-            p.values[...] = rng.uniform(-3.0, 3.0, size=p.shape)
-        tiny_model.params["emb"].values[PAD] = 0.0
-        tiny_model.params["out.b"].values[EOS] += 1.0
+        # fixed random models whose rows are one-hot to 1e-9 at tau = 1e-3: both
+        # emission rules emit the same ids, so the one stop rule gives one length.
+        # The second keeps a nonzero emb[PAD], as stage 2 leaves it, and emits
+        # PAD: greedy must feed back that row, as a one-hot soft row does
         batch = pack_batch([[4, 5, 6, 7], [8, 9, 10], [5, 4], [11, 6, 9, 7, 4], [7], [9, 9, 10]])
-        tokens, _ = tiny_model.generate_greedy(batch.enc_ids, batch.lengths, 1, max_len=8)
-        with ad.no_grad():
-            soft = tiny_model.generate_soft(batch.enc_ids, batch.lengths, 1, max_len=8,
-                                            tau=1e-3)
-        rows = soft.stacked_rows().values
-        up_to_eos = np.arange(rows.shape[1])[None, :] <= soft.lengths[:, None]
-        assert (1.0 - rows.max(axis=2))[up_to_eos].max() < 1e-9
-        assert soft.lengths.tolist() == [len(t) for t in tokens] == [0, 4, 3, 0, 4, 8]
+        for seed, pad_row_zero, lengths in ((3, True, [0, 4, 3, 0, 4, 8]),
+                                            (13, False, [6, 4, 8, 2, 8, 3])):
+            rng = np.random.default_rng(seed)
+            for p in tiny_model.params.values():
+                p.values[...] = rng.uniform(-3.0, 3.0, size=p.shape)
+            if pad_row_zero:
+                tiny_model.params["emb"].values[PAD] = 0.0
+            tiny_model.params["out.b"].values[EOS] += 1.0
+            tokens, _ = tiny_model.generate_greedy(batch.enc_ids, batch.lengths, 1, max_len=8)
+            if not pad_row_zero:
+                assert np.abs(tiny_model.params["emb"].values[PAD]).min() > 0.0
+                assert any(PAD in t for t in tokens)
+            with ad.no_grad():
+                soft = tiny_model.generate_soft(batch.enc_ids, batch.lengths, 1, max_len=8,
+                                                tau=1e-3)
+            rows = soft.stacked_rows().values
+            up_to_eos = np.arange(rows.shape[1])[None, :] <= soft.lengths[:, None]
+            assert (1.0 - rows.max(axis=2))[up_to_eos].max() < 1e-9
+            assert soft.lengths.tolist() == [len(t) for t in tokens] == lengths

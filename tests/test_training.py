@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from _oracles import graph_nodes
+from _oracles import grads_all_zero, graph_nodes
 
 from restyle import autodiff as ad
 from restyle import training
@@ -18,7 +18,6 @@ from restyle.training import (
     Stage2Config,
     Stage2Trainer,
     TrainLog,
-    grads_all_zero,
     resolve_ablation,
     stage1_losses,
 )
@@ -57,10 +56,10 @@ def stage2_trainer(vocab, small_classifier, lam_cache, encoded_train, cfg=None):
 
 class TestAblationResolution:
     def test_known_variants(self):
-        assert resolve_ablation("no-nsc") == frozenset({"nsc_off"})
-        assert resolve_ablation("NSC-lambda") == frozenset({"gate_off"})
-        assert resolve_ablation("-NSC") == frozenset({"nsc_off"})
-        assert resolve_ablation("Finetuning-") == frozenset({"freeze_stage1"})
+        assert resolve_ablation("no-nsc") == frozenset({"no-nsc"})
+        assert resolve_ablation("NSC-lambda") == frozenset({"nsc-lambda"})
+        assert resolve_ablation("-NSC") == frozenset({"no-nsc"})
+        assert resolve_ablation("Finetuning-") == frozenset({"no-finetune"})
         assert resolve_ablation("full") == frozenset()
 
     def test_unknown_rejected(self):
@@ -196,11 +195,6 @@ class TestStage2:
         _, gates = model.generate_greedy(batch.enc_ids, batch.lengths, target_style=1,
                                          styled=True, max_len=8, gate_override=1.0)
         assert (gates[gates != 0.0] == 1.0).all()
-        with ad.no_grad():
-            soft = model.generate_soft(batch.enc_ids, batch.lengths, 1, max_len=8,
-                                       tau=0.5, gate_override=1.0)
-        for applied in soft.applied_gates:
-            np.testing.assert_array_equal(applied.values, np.ones(4))
 
     def test_freeze_stage1_trains_only_style_component(self, vocab, small_classifier,
                                                        lam_cache, encoded_train):
@@ -283,7 +277,10 @@ class TestTrainLog:
         log.close()
         text = (tmp_path / "log.csv").read_text()
         header = text.splitlines()[0].split(",")
-        assert header == list(LossBreakdown.CSV_FIELDS)
+        assert header == ["step", "l_sr", "l_xlambda", "l_st", "l_ylambda", "l_cp",
+                          "l_lm", "total", "grad_norm_preclip"]
+        # the benchmark and the equivalence tool read these keys
+        assert list(log.rows[0]) == header
         assert "1.0" in text
 
 
