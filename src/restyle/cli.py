@@ -28,6 +28,7 @@ from restyle.language_model import DirectionalLanguageModel
 from restyle.lrp import hard_word_relevance
 from restyle.metrics import build_report, corpus_bleu, transfer_accuracy
 from restyle.pipeline import (
+    decoded_words,
     encode_corpus,
     evaluate_transfer,
     maybe_lower,
@@ -40,9 +41,8 @@ from restyle.pipeline import (
 )
 from restyle.seq2seq import Seq2seqModel
 from restyle.textcnn import TextCnnStyleClassifier
-from restyle.training import TrainLog, ablation_name, resolve_ablation
+from restyle.training import VARIANTS, TrainLog
 
-EXIT_USAGE = 2
 EXIT_MISSING_DEPENDENCY = 3
 EXIT_FAILURE = 1
 
@@ -254,51 +254,43 @@ def cmd_train_stage1(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_lms(run_dir: Path, vocab: Vocabulary) -> dict:
-    lms = {}
-    for style in (0, 1):
-        for direction in ("forward", "backward"):
-            lms[(style, direction)], _ = load_model(
-                run_dir / f"lm.{style}.{direction}.ckpt", "lm", vocab)
-    return lms
-
-
-def stage2_ablation(args, cfg: ExperimentConfig) -> frozenset:
-    """Ablation variants of a stage-2 command: ``--variant`` when given, else
-    ``stage2.ablation``."""
-    return resolve_ablation(args.variant) if args.variant else cfg.stage2.ablation
+def run_stage2(run_dir: Path, cfg: ExperimentConfig, vocab: Vocabulary) -> Seq2seqModel:
+    """Fine-tune the run's stage-1 model as the variant ``stage2.ablation`` says
+    and save it as ``stage2.ckpt``, or ``stage2.<variant>.ckpt`` for an
+    ablation; returns the model."""
+    name, variant = cfg.stage2.ablation, cfg.stage2.variant
+    if not variant.nsc:
+        raise CliError(f"variant {name} has no stage-2 training; evaluate stage1.ckpt instead")
+    clf, _ = load_model(run_dir / "classifier.ckpt", "classifier", vocab)
+    model, header = load_model(run_dir / "stage1.ckpt", "seq2seq", vocab, "stage1 checkpoint")
+    if not variant.lxlambda and not header.get("lxlambda_off", False):
+        raise CliError(f"variant {name} needs a stage1.ckpt trained with "
+                       f"stage1.lxlambda_off = true; retrain stage 1 under "
+                       f"stage2.ablation = {name} first")
+    lms = {(s, d): load_model(run_dir / f"lm.{s}.{d}.ckpt", "lm", vocab)[0]
+           for s in (0, 1) for d in ("forward", "backward")}
+    train = load_split(cfg, vocab, "train")
+    suffix = "" if name == "full" else f".{name}"
+    log = TrainLog(run_dir / f"train_log.stage2{suffix}.csv")
+    trainer = train_stage2(cfg, model, clf, lms, header.get("eta"), train, log)
+    log.close()
+    ckpt = f"stage2{suffix}.ckpt"
+    save_model(run_dir / ckpt, "seq2seq", model, vocab, cfg, stage=2,
+               eta=trainer.lrp_cfg.eta, epsilon=cfg.lrp.epsilon, ablation=name)
+    update_manifest(run_dir, cfg, {
+        "artifacts": {ckpt: file_hash(run_dir / ckpt)},
+        "seeds": {"stage2": cfg.stage2.seed},
+        "stage2_skipped_sentences": trainer.skipped_sentences,
+    })
+    print(f"stage2 trained ({name}): {trainer.step_count} steps, "
+          f"{trainer.skipped_sentences} zero-length sentences skipped")
+    return model
 
 
 def cmd_train_stage2(args, cfg: ExperimentConfig) -> int:
     run_dir = Path(args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    vocab = load_or_build_vocab(run_dir, cfg)
-    clf, _ = load_model(run_dir / "classifier.ckpt", "classifier", vocab)
-    model, header = load_model(run_dir / "stage1.ckpt", "seq2seq", vocab, "stage1 checkpoint")
-    lms = _load_lms(run_dir, vocab)
-    train = load_split(cfg, vocab, "train")
-    ablation = stage2_ablation(args, cfg)
-    variant = ablation_name(ablation)
-    if "no-nsc" in ablation:
-        raise CliError("variant no-nsc has no stage-2 training; evaluate stage1.ckpt instead")
-    if "no-lxlambda" in ablation and not header.get("lxlambda_off", False):
-        raise CliError("variant no-lxlambda needs a stage1.ckpt trained with "
-                       "stage1.lxlambda_off = true; retrain stage 1 with it first")
-    cfg.stage2.ablation = ablation
-    suffix = "" if variant == "full" else f".{variant}"
-    log = TrainLog(run_dir / f"train_log.stage2{suffix}.csv")
-    trainer = train_stage2(cfg, model, clf, lms, header.get("eta"), train, log)
-    log.close()
-    name = f"stage2{suffix}.ckpt"
-    save_model(run_dir / name, "seq2seq", model, vocab, cfg, stage=2,
-               eta=trainer.lrp_cfg.eta, epsilon=cfg.lrp.epsilon)
-    update_manifest(run_dir, cfg, {
-        "artifacts": {name: file_hash(run_dir / name)},
-        "seeds": {"stage2": cfg.stage2.seed},
-        "stage2_skipped_sentences": trainer.skipped_sentences,
-    })
-    print(f"stage2 trained ({variant}): {trainer.step_count} steps, "
-          f"{trainer.skipped_sentences} zero-length sentences skipped")
+    run_stage2(run_dir, cfg, load_or_build_vocab(run_dir, cfg))
     return 0
 
 
@@ -319,9 +311,11 @@ def cmd_transfer(args, cfg: ExperimentConfig) -> int:
     if not sentences:
         raise CliError("no input sentences")
     ids = [vocab.encode(s) for s in sentences]
-    styled = header.get("stage", 2) == 2
+    # a stage-2 model decodes as its variant trained, a stage-1 model unstyled
+    decoding = (VARIANTS[header.get("ablation", "full")].decoding
+                if header.get("stage", 2) == 2 else {"styled": False})
     outputs, gates = transfer_sentences(model, ids, args.target_style,
-                                        max_len=cfg.data.max_len, styled=styled)
+                                        max_len=cfg.data.max_len, **decoding)
     decoded = [vocab.decode(o) for o in outputs]
     out_path = Path(args.output) if args.output else run_dir / "outputs.txt"
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -329,8 +323,8 @@ def cmd_transfer(args, cfg: ExperimentConfig) -> int:
     if args.dump_relevance:
         records = []
         for src, out, g in zip(sentences, outputs, gates):
-            tokens = [vocab.id_to_token[t] for t in out]
-            lam = [round(float(x), 6) for x in g[:len(out)]]
+            tokens, lam = decoded_words(vocab, out, g)
+            lam = [round(x, 6) for x in lam]
             records.append({"input": src, "output_tokens": tokens, "lambda": lam})
             for tok, x in zip(tokens, lam):
                 print(f"{tok}\t{x:.4f}")
@@ -351,14 +345,7 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     clf, _ = load_model(Path(args.classifier) if args.classifier
                         else run_dir / "classifier.ckpt", "classifier", vocab)
     outputs = maybe_lower(read_sentences(require(Path(args.outputs), "outputs file")), cfg)
-    ref_files = [Path(p) for p in args.refs.split(",") if p]
-    ref_columns = [maybe_lower(read_sentences(require(p, "reference file")), cfg)
-                   for p in ref_files]
-    for col in ref_columns:
-        if len(col) != len(outputs):
-            raise CliError(f"reference count {len(col)} does not match outputs "
-                           f"{len(outputs)}")
-    references = [[col[i] for col in ref_columns] for i in range(len(outputs))]
+    references = read_references(cfg, args.refs, "--refs", len(outputs), "outputs")
     acc = transfer_accuracy([vocab.encode(s) for s in outputs],
                             [args.target_style] * len(outputs), clf)
     bleu = corpus_bleu(outputs, references, smooth=args.smooth_bleu)
@@ -442,65 +429,55 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
     run_dir = Path(args.run_dir)
     vocab = Vocabulary.load(require(run_dir / "vocab.txt", "vocabulary"))
     clf, _ = load_model(run_dir / "classifier.ckpt", "classifier", vocab)
-    ablation = cfg.stage2.ablation = stage2_ablation(args, cfg)
-    variant = ablation_name(ablation)
-
+    name, variant = cfg.stage2.ablation, cfg.stage2.variant
     test = load_split(cfg, vocab, "test")
     references = _load_references(cfg, test)
 
-    if "no-nsc" in ablation:
-        model, _ = load_model(run_dir / "stage1.ckpt", "seq2seq", vocab, "stage1 checkpoint")
-        styled = False
+    if variant.nsc:
+        model = run_stage2(run_dir, cfg, vocab)
     else:
-        rc = cmd_train_stage2(argparse.Namespace(run_dir=args.run_dir, variant=None), cfg)
-        if rc != 0:
-            return rc
-        suffix = "" if variant == "full" else f".{variant}"
-        model, _ = load_model(run_dir / f"stage2{suffix}.ckpt", "seq2seq", vocab,
-                              "stage2 checkpoint")
-        styled = True
+        model, _ = load_model(run_dir / "stage1.ckpt", "seq2seq", vocab, "stage1 checkpoint")
     sentences = [vocab.decode(s) for s in test.sentences]
-    gate_override = 1.0 if "nsc-lambda" in ablation else None
     report, _ = evaluate_transfer(model, clf, vocab, sentences, test.labels,
-                                  references, max_len=cfg.data.max_len,
-                                  gate_override=gate_override, styled=styled)
+                                  references, max_len=cfg.data.max_len, **variant.decoding)
     csv_path = run_dir / "ablations.csv"
     new = not csv_path.exists()
     with open(csv_path, "a", encoding="utf-8") as f:
         if new:
             f.write("variant,acc,bleu,g2,h2,n_sentences\n")
-        f.write(f"{variant},{report.acc:.2f},{report.bleu:.2f},{report.g2:.2f},"
+        f.write(f"{name},{report.acc:.2f},{report.bleu:.2f},{report.g2:.2f},"
                 f"{report.h2:.2f},{report.n_sentences}\n")
     print(report.to_table())
     update_manifest(run_dir, cfg, {
         "artifacts": {"ablations.csv": file_hash(csv_path)},
-        f"ablation_{variant}": json.loads(report.to_json()),
+        f"ablation_{name}": json.loads(report.to_json()),
     })
     return 0
 
 
+def read_references(cfg: ExperimentConfig, files: str, key: str, n: int,
+                    what: str) -> list[list[str]]:
+    """One row of references per sentence from the comma-separated ``files``
+    (the value of ``key``), each holding one line for each of the ``n``
+    sentences ``what`` names."""
+    paths = [p for p in files.split(",") if p]
+    if not paths:
+        raise CliError(f"{key} must list reference files")
+    cols = []
+    for p in paths:
+        col = maybe_lower(read_sentences(require(Path(p), "reference file")), cfg)
+        if len(col) != n:
+            raise CliError(f"reference file {p} has {len(col)} lines for the {n} {what}")
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
 def _load_references(cfg: ExperimentConfig, test: LabeledCorpus) -> list:
     """References aligned with the test corpus order (style0 rows then style1)."""
-    refs_by_style = {}
-    for style in (0, 1):
-        paths = [p for p in getattr(cfg.data, f"test_refs_style{style}").split(",") if p]
-        if not paths:
-            raise CliError(f"data.test_refs_style{style} must list reference files")
-        n = test.labels.count(style)
-        cols = []
-        for p in paths:
-            col = maybe_lower(read_sentences(require(Path(p), "reference file")), cfg)
-            if len(col) != n:
-                raise CliError(f"reference file {p} has {len(col)} lines for the "
-                               f"{n} style-{style} test sentences")
-            cols.append(col)
-        refs_by_style[style] = [list(row) for row in zip(*cols)]
-    counters = {0: 0, 1: 0}
-    references = []
-    for label in test.labels:
-        references.append(refs_by_style[label][counters[label]])
-        counters[label] += 1
-    return references
+    rows = {style: iter(read_references(
+        cfg, getattr(cfg.data, f"test_refs_style{style}"), f"data.test_refs_style{style}",
+        test.labels.count(style), f"style-{style} test sentences")) for style in (0, 1)}
+    return [next(rows[label]) for label in test.labels]
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("train-stage1", help="denoising reconstruction + relevance reprediction")
 
-    p = sub.add_parser("train-stage2", help="fine-tune the style component")
-    p.add_argument("--variant", default=None,
-                   help="ablation variant name (default: stage2.ablation)")
+    sub.add_parser("train-stage2", help="fine-tune the style component")
 
     p = sub.add_parser("transfer", help="rewrite sentences toward a target style")
     p.add_argument("--target-style", type=int, choices=(0, 1), required=True)
@@ -564,9 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coords-per-param", type=int, default=4)
 
-    p = sub.add_parser("ablate", help="train and score an ablation variant")
-    p.add_argument("--variant", default=None,
-                   help="ablation variant name (default: stage2.ablation)")
+    sub.add_parser("ablate", help="train and score the ablation variant stage2.ablation")
     return parser
 
 

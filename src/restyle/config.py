@@ -6,7 +6,8 @@ those a run sets itself (vocabulary size, seeds, style, direction, LM length),
 and their defaults are the constructors' defaults. Every default is
 overridable from the file; unknown keys are rejected so typos fail loudly.
 Sub-seeds for each component are derived deterministically from one root
-seed, and the stages' ``max_len`` follows ``data.max_len``.
+seed, the stages' ``max_len`` follows ``data.max_len``, and whether stage 1
+trains ``L_xλ`` follows the ablation variant ``stage2.ablation``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from restyle.base import derive_seed
 from restyle.language_model import DirectionalLanguageModel
 from restyle.seq2seq import Seq2seqModel
 from restyle.textcnn import TextCnnStyleClassifier
-from restyle.training import LrpConfig, Stage1Config, Stage2Config, resolve_ablation
+from restyle.training import VARIANTS, LrpConfig, Stage1Config, Stage2Config
 
 
 @dataclass
@@ -81,6 +82,7 @@ class ExperimentConfig:
             if stage.seed is None:
                 stage.seed = self.seed_for(name)
             stage.max_len = self.data.max_len
+        self.stage1.lxlambda_off = not self.stage2.variant.lxlambda
 
     def seed_for(self, component: str) -> int:
         return derive_seed(self.root_seed, component)
@@ -104,8 +106,6 @@ class ExperimentConfig:
 
 
 def _plain(v):
-    if isinstance(v, frozenset):
-        return sorted(v)
     if isinstance(v, tuple):
         return list(v)
     return v
@@ -124,20 +124,16 @@ def _coerce(current, raw: str):
         return float(raw)
     if isinstance(current, tuple):
         return tuple(int(x) for x in raw.replace(",", " ").split())
-    if isinstance(current, frozenset):
-        parts = [p for p in raw.replace(",", " ").split() if p]
-        out = frozenset()
-        for p in parts:
-            out |= resolve_ablation(p)
-        return out
     return raw
 
 
 SECTIONS = {"data": DataConfig, "classifier": ClassifierSection, "lm": LmSection,
             "model": ModelSection, "lrp": LrpSection, "stage1": Stage1Config,
             "stage2": Stage2Config}
-# fields the config derives from others rather than reads
-DERIVED_KEYS = ("stage1.max_len", "stage2.max_len")
+# fields the config derives rather than reads, and what sets each
+DERIVED_KEYS = {"stage1.max_len": "data.max_len", "stage2.max_len": "data.max_len",
+                "stage1.lxlambda_off": "stage2.ablation = " + " or ".join(
+                    name for name, v in VARIANTS.items() if not v.lxlambda)}
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
@@ -167,8 +163,10 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         if section not in SECTIONS:
             raise ValueError(f"unknown config section [{section}]")
         default = SECTIONS[section]()
-        if key not in {f.name for f in fields(default)} or f"{section}.{key}" in DERIVED_KEYS:
-            raise ValueError(f"unknown config key {section}.{key}")
+        dotted = f"{section}.{key}"
+        if key not in {f.name for f in fields(default)} or dotted in DERIVED_KEYS:
+            follows = f"; it follows {DERIVED_KEYS[dotted]}" if dotted in DERIVED_KEYS else ""
+            raise ValueError(f"unknown config key {dotted}{follows}")
         values[section][key] = _coerce(getattr(default, key), raw)
     return ExperimentConfig(root_seed=root_seed,
                             **{name: cls(**values[name]) for name, cls in SECTIONS.items()})

@@ -13,6 +13,7 @@ logger = logging.getLogger(__name__)
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 RESERVED = ("<pad>", "<bos>", "<eos>", "<unk>")
 N_RESERVED = 4
+NON_WORDS = (PAD, BOS, EOS)   # ids ``Vocabulary.decode`` drops
 
 
 class Vocabulary:
@@ -31,8 +32,7 @@ class Vocabulary:
         return [self.token_to_id.get(tok, UNK) for tok in sentence.split()]
 
     def decode(self, ids) -> str:
-        return " ".join(self.id_to_token[i] for i in ids
-                        if i not in (PAD, BOS, EOS))
+        return " ".join(self.id_to_token[i] for i in ids if i not in NON_WORDS)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

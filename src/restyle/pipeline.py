@@ -17,7 +17,7 @@ import numpy as np
 
 from restyle.base import ParamMixin, check_binary_labels, check_fitted
 from restyle.config import ExperimentConfig, load_config
-from restyle.data import LabeledCorpus, Vocabulary, build_vocab, pack_batch
+from restyle.data import NON_WORDS, LabeledCorpus, Vocabulary, build_vocab, pack_batch
 from restyle.language_model import DirectionalLanguageModel
 from restyle.lrp import calibrate_eta
 from restyle.metrics import MetricReport, build_report, corpus_bleu, transfer_accuracy
@@ -39,8 +39,8 @@ class StyleTransferPipeline(ParamMixin):
         self.stage1_metrics_ = None
 
     def fit(self, X, y, X_dev=None, y_dev=None):
-        """Train every stage on (X, y); stage 1 early-stops on (X_dev, y_dev)
-        when given."""
+        """Train on (X, y) every stage the ablation variant ``stage2.ablation``
+        runs; stage 1 early-stops on (X_dev, y_dev) when given."""
         cfg = self.config
         y = check_binary_labels(list(y), len(X))
         self.vocab_ = build_vocab(maybe_lower(X, cfg), min_freq=cfg.data.min_freq)
@@ -55,17 +55,20 @@ class StyleTransferPipeline(ParamMixin):
                                                               train, dev)
         self.lrp_config_ = cfg.lrp_config(calibrated_eta=eta)
         self.lms_ = train_language_models(cfg, V, train)
-        train_stage2(cfg, self.model_, self.classifier_, self.lms_, eta, train)
+        if cfg.stage2.variant.nsc:
+            train_stage2(cfg, self.model_, self.classifier_, self.lms_, eta, train)
         return self
 
     def transform(self, X, target_style: int, return_relevance: bool = False):
+        """Greedy transfer of X as the variant decodes, and each word's gate."""
         check_fitted(self, "model_")
         ids = [self.vocab_.encode(s) for s in maybe_lower(X, self.config)]
         outputs, gates = transfer_sentences(self.model_, ids, target_style,
-                                            max_len=self.config.data.max_len)
+                                            max_len=self.config.data.max_len,
+                                            **self.config.stage2.variant.decoding)
         decoded = [self.vocab_.decode(o) for o in outputs]
         if return_relevance:
-            return decoded, [g[:len(o)].tolist() for o, g in zip(outputs, gates)]
+            return decoded, [decoded_words(self.vocab_, o, g)[1] for o, g in zip(outputs, gates)]
         return decoded
 
 
@@ -157,6 +160,12 @@ def transfer_sentences(model: Seq2seqModel, id_seqs, target_style: int,
         outputs.extend(toks)
         gate_rows.extend(gates)
     return outputs, gate_rows
+
+
+def decoded_words(vocab: Vocabulary, tokens, gates) -> tuple[list[str], list[float]]:
+    """The words ``vocab.decode(tokens)`` keeps, and the gate each was emitted with."""
+    kept = [j for j, t in enumerate(tokens) if t not in NON_WORDS]
+    return [vocab.id_to_token[tokens[j]] for j in kept], [float(gates[j]) for j in kept]
 
 
 def evaluate_transfer(model: Seq2seqModel, classifier: TextCnnStyleClassifier,

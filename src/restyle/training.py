@@ -29,9 +29,36 @@ from restyle.textcnn import TextCnnStyleClassifier
 
 logger = logging.getLogger(__name__)
 
+
+@dataclass(frozen=True)
+class Variant:
+    """What one ablation variant changes: the stages that train, how its model
+    decodes, and the loss terms and parameter groups stage 2 trains."""
+    lxlambda: bool = True                # stage 1 trains L_xλ
+    nsc: bool = True                     # stage 2 trains the style component, decoding runs it
+    gate_override: float | None = None   # every gate fixed at this, in stage 2 and decoding
+    ylambda: bool = True                 # stage 2 trains L_yλ
+    lm: bool = True                      # stage 2 trains L_lm
+    lcp_prime: bool = False              # stage 2 trains the unweighted anchor L_cp'
+    groups: tuple = ("s2s", "head", "style")   # parameter groups stage 2 trains
+
+    @property
+    def decoding(self) -> dict:
+        """``generate_greedy`` keywords that decode as the variant trained."""
+        return {"styled": self.nsc, "gate_override": self.gate_override}
+
+
 # canonical ablation variants and their accepted spellings
-ABLATION_VARIANTS = ("no-nsc", "nsc-lambda", "no-lxlambda", "lcp-prime", "no-lylambda",
-                     "no-lm", "no-finetune")
+VARIANTS = {
+    "full": Variant(),
+    "no-nsc": Variant(nsc=False),
+    "nsc-lambda": Variant(gate_override=1.0),
+    "no-lxlambda": Variant(lxlambda=False),
+    "lcp-prime": Variant(lcp_prime=True),
+    "no-lylambda": Variant(ylambda=False),
+    "no-lm": Variant(lm=False),
+    "no-finetune": Variant(groups=("style",)),
+}
 ABLATION_ALIASES = {
     "-nsc": "no-nsc",
     "nsc-lambda-yj": "nsc-lambda",
@@ -43,22 +70,15 @@ ABLATION_ALIASES = {
 }
 
 
-def ablation_name(ablation: frozenset) -> str:
-    """Canonical name of a set of ablation variants: 'full' for none, else the
-    variant names joined by '+'."""
-    return "+".join(sorted(ablation)) or "full"
-
-
-def resolve_ablation(variant: str) -> frozenset:
-    """The set of canonical variant names that one variant name or alias selects."""
+def resolve_ablation(variant: str) -> str:
+    """The canonical name of one variant name or alias."""
     key = variant.strip().lower()
     key = ABLATION_ALIASES.get(key, key)
-    if key == "full":
-        return frozenset()
-    if key not in ABLATION_VARIANTS:
-        valid = ["full"] + sorted(ABLATION_VARIANTS) + sorted(ABLATION_ALIASES)
-        raise ValueError(f"unknown ablation variant {variant!r}; expected one of {valid}")
-    return frozenset({key})
+    if key not in VARIANTS:
+        valid = sorted(VARIANTS) + sorted(ABLATION_ALIASES)
+        raise ValueError(f"unknown ablation variant {variant!r} in stage2.ablation; "
+                         f"one per run, expected one of {valid}")
+    return key
 
 
 @dataclass
@@ -104,14 +124,16 @@ class Stage2Config:
     tau_end: float = 0.1
     gumbel_noise: bool = True
     seed: int = 0
-    ablation: frozenset = frozenset()
+    ablation: str = "full"
 
     def __post_init__(self):
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("loss weights must be nonnegative")
-        unknown = set(self.ablation) - set(ABLATION_VARIANTS)
-        if unknown:
-            raise ValueError(f"unknown ablation variants {sorted(unknown)}")
+        self.ablation = resolve_ablation(self.ablation)
+
+    @property
+    def variant(self) -> Variant:
+        return VARIANTS[self.ablation]
 
 
 @dataclass
@@ -336,19 +358,18 @@ def stage2_losses(model: Seq2seqModel, classifier: TextCnnStyleClassifier, lms: 
     ``lam_x`` holds the batch's (B, T) relevance targets and ``noise`` the
     (max_len, B, V) gumbel noise, or None. Returns ``(soft, losses)``, where
     ``losses`` maps l_st, l_ylambda, l_cp, l_lm and total to scalar tensors,
-    or is None when every generation has length 0. A term its weight or an
+    or is None when every generation has length 0. A term its weight or the
     ablation variant switches off is the constant 0.
     """
-    gate_override = 1.0 if "nsc-lambda" in cfg.ablation else None
-    alpha = 0.0 if "no-lylambda" in cfg.ablation else cfg.alpha
-    gamma = 0.0 if "no-lm" in cfg.ablation else cfg.gamma
-    lcp_prime = "lcp-prime" in cfg.ablation
+    variant = cfg.variant
+    alpha = cfg.alpha if variant.ylambda else 0.0
+    gamma = cfg.gamma if variant.lm else 0.0
 
     target_style = 1 - source_style
     B = batch.enc_ids.shape[0]
     soft = model.generate_soft(batch.enc_ids, batch.lengths, target_style,
                                max_len=cfg.max_len, tau=tau, gumbel_noise=noise,
-                               gate_override=gate_override)
+                               gate_override=variant.gate_override)
     valid = soft.lengths > 0
     if not valid.any():
         return soft, None
@@ -377,7 +398,7 @@ def stage2_losses(model: Seq2seqModel, classifier: TextCnnStyleClassifier, lms: 
 
     # relevance-weighted content anchor
     x_emb = model.embed(batch.enc_ids)
-    if lcp_prime:
+    if variant.lcp_prime:
         x_w = constant(batch.token_mask[:, :, None])
         y_w = constant(rmask[:, :, None])
     else:
@@ -422,11 +443,7 @@ class Stage2Trainer:
         for lm in self.lms.values():
             lm.set_trainable(False)
         groups = model.parameter_groups()
-        if "no-finetune" in cfg.ablation:
-            names = groups["style"]
-        else:
-            names = groups["s2s"] + groups["head"] + groups["style"]
-        self.trainable_names = sorted(names)
+        self.trainable_names = sorted(n for g in cfg.variant.groups for n in groups[g])
         self.optimizer = ad.make_optimizer(cfg.optimizer,
                                            [model.params[k] for k in self.trainable_names],
                                            cfg.learning_rate, cfg.clip_norm)

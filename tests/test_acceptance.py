@@ -26,6 +26,7 @@ from restyle.seq2seq import Seq2seqModel
 from restyle.synthetic import generate_marker_corpus
 from restyle.textcnn import TextCnnStyleClassifier
 from restyle.training import (
+    VARIANTS,
     LambdaTargetCache,
     LrpConfig,
     Stage1Config,
@@ -140,12 +141,13 @@ def train_variant(acceptance, variant: str, seed: int = 5):
     return model, trainer
 
 
-def score_variant(acceptance, model, gate_override=None, styled=True):
+def score_variant(acceptance, model, variant: str = "full"):
+    """Score ``model`` decoded as ``variant`` decodes."""
     corpus = acceptance["corpus"]
     report, outputs = evaluate_transfer(
         model, acceptance["classifier"], acceptance["vocab"],
         corpus.test_sentences, corpus.test_labels, corpus.test_references,
-        max_len=16, gate_override=gate_override, styled=styled)
+        max_len=16, **VARIANTS[variant].decoding)
     return report, outputs
 
 
@@ -160,15 +162,13 @@ def stage2_scores(acceptance):
     acceptance["stage2_model"] = model
 
     model, _ = train_variant(acceptance, "nsc-lambda")
-    out["nsc-lambda"], gate_off_outputs = score_variant(acceptance, model,
-                                                        gate_override=1.0)
+    out["nsc-lambda"], gate_off_outputs = score_variant(acceptance, model, "nsc-lambda")
     acceptance["gated_ungated_outputs"] = (full_outputs, gate_off_outputs)
 
     model, _ = train_variant(acceptance, "lcp-prime")
-    out["lcp-prime"] = score_variant(acceptance, model)[0]
+    out["lcp-prime"] = score_variant(acceptance, model, "lcp-prime")[0]
 
-    out["no-nsc"] = score_variant(acceptance, fresh_stage1_copy(acceptance),
-                                  styled=False)[0]
+    out["no-nsc"] = score_variant(acceptance, fresh_stage1_copy(acceptance), "no-nsc")[0]
     return out
 
 

@@ -181,34 +181,53 @@ class TestPipelineCommands:
         work = copy_run(cli_env, tmp_path / "run",
                         ["vocab.txt", "classifier.ckpt", "stage1.ckpt", *LM_NAMES])
         common = ["--config", cli_env["config"], "--run-dir", str(work)]
-        assert main([*common, "train-stage2", "--variant", "no-lxlambda"]) == 1
+        variant = ["--set", "stage2.ablation=no-lxlambda"]
+        assert main([*common, *variant, "train-stage2"]) == 1
         assert "stage1.lxlambda_off" in capsys.readouterr().err
         assert not (work / "stage2.no-lxlambda.ckpt").exists()
-        assert main([*common, "--set", "stage1.lxlambda_off=true", "--set", "stage1.epochs=1",
-                     "train-stage1"]) == 0
+        assert main([*common, *variant, "--set", "stage1.epochs=1", "train-stage1"]) == 0
         assert load_checkpoint(work / "stage1.ckpt")[0]["lxlambda_off"] is True
-        assert main([*common, "train-stage2", "--variant", "no-lxlambda"]) == 0
+        assert main([*common, *variant, "train-stage2"]) == 0
         assert (work / "stage2.no-lxlambda.ckpt").exists()
         capsys.readouterr()
 
     def test_05e_train_stage2_reads_the_ablation_key(self, cli_env, capsys, tmp_path):
-        names = ["vocab.txt", "classifier.ckpt", "stage1.ckpt", *LM_NAMES]
-        hashes = []
-        for tag, extra in (("key", ["--set", "stage2.ablation=nsc-lambda", "train-stage2"]),
-                           ("flag", ["train-stage2", "--variant", "nsc-lambda"])):
-            work = copy_run(cli_env, tmp_path / tag, names)
-            assert main(["--config", cli_env["config"], "--run-dir", str(work), *extra]) == 0
-            assert not (work / "stage2.ckpt").exists()
-            hashes.append(checkpoint_hash(work / "stage2.nsc-lambda.ckpt"))
-        assert hashes[0] == hashes[1]
-        # the flag wins over the key
-        work = tmp_path / "key"
+        from restyle.checkpoint import load_checkpoint
+
+        work = copy_run(cli_env, tmp_path / "run",
+                        ["vocab.txt", "classifier.ckpt", "stage1.ckpt", *LM_NAMES])
         assert main(["--config", cli_env["config"], "--run-dir", str(work),
-                     "--set", "stage2.ablation=nsc-lambda", "train-stage2",
-                     "--variant", "full"]) == 0
-        assert checkpoint_hash(work / "stage2.ckpt") == checkpoint_hash(
-            Path(cli_env["run_dir"]) / "stage2.ckpt")
+                     "--set", "stage2.ablation=nsc-lambda", "train-stage2"]) == 0
+        assert not (work / "stage2.ckpt").exists()
+        assert load_checkpoint(work / "stage2.nsc-lambda.ckpt")[0]["ablation"] == "nsc-lambda"
         capsys.readouterr()
+
+    def test_05f_transfer_decodes_a_checkpoint_as_ablate_scores_it(self, cli_env, capsys,
+                                                                  tmp_path, monkeypatch):
+        import restyle.cli as cli_module
+
+        work = copy_run(cli_env, tmp_path / "run",
+                        ["vocab.txt", "classifier.ckpt", "stage1.ckpt", *LM_NAMES])
+        common = ["--config", cli_env["config"], "--run-dir", str(work)]
+        scored = []
+        evaluate_transfer = cli_module.evaluate_transfer
+
+        def record(*args, **kwargs):
+            report, decoded = evaluate_transfer(*args, **kwargs)
+            scored.extend(decoded)
+            return report, decoded
+
+        monkeypatch.setattr(cli_module, "evaluate_transfer", record)
+        # at this rate the learned gates move far enough from 1 to change outputs
+        assert main([*common, "--set", "stage2.ablation=nsc-lambda",
+                     "--set", "stage2.learning_rate=1e-2", "ablate"]) == 0
+        capsys.readouterr()
+        inputs = cli_env["corpus_dir"] / "test.style0.txt"
+        assert main([*common, "transfer", "--target-style", "1", "--input", str(inputs),
+                     "--checkpoint", str(work / "stage2.nsc-lambda.ckpt")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == len(inputs.read_text().splitlines()) == 20
+        assert printed == scored[:20]
 
     def test_06_transfer_with_relevance_dump(self, cli_env, capsys):
         src = Path(cli_env["run_dir"]) / "transfer_in.txt"
@@ -240,6 +259,19 @@ class TestPipelineCommands:
         assert "Acc" in out and "BLEU" in out
         metrics = json.loads((run_dir / "metrics.json").read_text())
         assert set(metrics) == {"acc", "bleu", "g2", "h2", "n_sentences"}
+
+    def test_07b_evaluate_names_a_short_reference_file(self, cli_env, capsys, tmp_path):
+        run_dir = Path(cli_env["run_dir"])
+        full = cli_env["corpus_dir"] / "test.style0.ref0.txt"
+        n = len(full.read_text().splitlines())
+        short = tmp_path / "short.txt"
+        short.write_text("".join(full.read_text().splitlines(keepends=True)[:1]))
+        rc = run_cli(cli_env, "evaluate", "--outputs", str(run_dir / "eval_outputs.txt"),
+                     "--refs", f"{full},{short}", "--target-style", "1")
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: runtime: ")
+        assert f"reference file {short} has 1 lines for the {n} outputs" in err
 
     def test_08_metrics_recomputable_from_artifacts(self, cli_env, capsys):
         run_dir = Path(cli_env["run_dir"])
@@ -434,7 +466,7 @@ class TestPipelineCommands:
         assert json.loads((eval_dir / "metrics.json").read_text())["bleu"] == pytest.approx(100.0)
 
     def test_10_ablate_appends_csv(self, cli_env, capsys):
-        rc = run_cli(cli_env, "ablate", "--variant", "no-nsc")
+        rc = run_cli(cli_env, "--set", "stage2.ablation=no-nsc", "ablate")
         capsys.readouterr()
         assert rc == 0
         csv_path = Path(cli_env["run_dir"]) / "ablations.csv"
@@ -452,7 +484,7 @@ class TestPipelineCommands:
                                                     "stage1.ckpt"])
         rc = main(["--config", cli_env["config"], "--run-dir", str(work),
                    "--set", f"data.test_refs_style0={full},{short}",
-                   "ablate", "--variant", "no-nsc"])
+                   "--set", "stage2.ablation=no-nsc", "ablate"])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: runtime: ")
@@ -509,7 +541,7 @@ class TestPipelineCommands:
         assert sorted(p.name for p in work.iterdir()) == sorted(kept + list(commands))
 
     def test_12_unknown_variant_rejected(self, cli_env, capsys):
-        rc = run_cli(cli_env, "ablate", "--variant", "bogus")
+        rc = run_cli(cli_env, "--set", "stage2.ablation=bogus", "ablate")
         captured = capsys.readouterr()
         assert rc == 1
         assert "error:" in captured.err

@@ -85,8 +85,18 @@ filter_widths = 2, 3
 
     def test_ablation_names_parsed(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, "[stage2]\nablation = nsc-lambda\n"))
-        assert cfg.stage2.ablation == frozenset({"nsc-lambda"})
-        assert cfg.to_dict()["stage2"]["ablation"] == ["nsc-lambda"]
+        assert cfg.stage2.ablation == "nsc-lambda"
+        assert cfg.to_dict()["stage2"]["ablation"] == "nsc-lambda"
+
+    def test_one_variant_per_run_and_lxlambda_off_follows_it(self):
+        assert load_config(None).stage1.lxlambda_off is False
+        assert load_config(None, {"stage2.ablation": "-lxlambda"}).stage1.lxlambda_off is True
+        with pytest.raises(ValueError, match="unknown config key stage1.lxlambda_off; "
+                                             "it follows stage2.ablation = no-lxlambda"):
+            load_config(None, {"stage1.lxlambda_off": "true"})
+        for value in ("nsc-lambda,no-lm", "nsc-lambda no-lm"):
+            with pytest.raises(ValueError, match="in stage2.ablation; one per run"):
+                load_config(None, {"stage2.ablation": value})
 
     def test_replace_prob_validated(self):
         for prob in ("1.5", "-0.1"):

@@ -1,9 +1,37 @@
 import numpy as np
 import pytest
 
+import restyle.pipeline as pipeline_module
+from restyle.checkpoint import params_hash
 from restyle.config import load_config
-from restyle.pipeline import StyleTransferPipeline, evaluate_transfer
+from restyle.data import EOS, PAD, Vocabulary, build_vocab
+from restyle.pipeline import (
+    StyleTransferPipeline,
+    encode_corpus,
+    evaluate_transfer,
+    train_classifier,
+    train_stage1,
+    transfer_sentences,
+)
+from restyle.seq2seq import Seq2seqModel
 from restyle.synthetic import generate_marker_corpus
+from restyle.training import TrainLog
+
+# a small run: every stage trains in seconds
+SMALL_RUN = {
+    "run.root_seed": "4", "data.min_freq": "1",
+    "classifier.embed_dim": "16", "classifier.num_filters": "8", "classifier.epochs": "1",
+    "lm.embed_dim": "8", "lm.hidden_dim": "8", "lm.epochs": "1",
+    "model.embed_dim": "16", "model.hidden_dim": "16", "model.attn_dim": "16",
+    "model.head_dim": "8", "model.style_dim": "4", "model.mlp_dim": "8",
+    "stage1.epochs": "1", "stage1.optimizer": "adam", "stage1.learning_rate": "2e-3",
+    "stage2.optimizer": "adam", "stage2.learning_rate": "1e-2", "stage2.clip_norm": "1.0",
+}
+
+
+@pytest.fixture(scope="module")
+def small_corpus():
+    return generate_marker_corpus(n_train=240, n_dev=20, n_test=20, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +82,27 @@ class TestStyleTransferPipeline:
         assert len(lams[0]) == len(outs[0].split())
         assert all(0.0 <= x <= 1.0 for x in lams[0])
 
+    def test_relevance_pairs_each_decoded_word_with_its_gate(self):
+        # the fixed seed-13 tiny model of test_soft_lengths_equal_greedy_lengths_at_low_
+        # temperature emits PAD inside its outputs, which decoding drops
+        model = Seq2seqModel(vocab_size=12, embed_dim=6, hidden_dim=5, attn_dim=5,
+                             head_dim=4, style_dim=3, mlp_dim=4, seed=0)
+        rng = np.random.default_rng(13)
+        for p in model.params.values():
+            p.values[...] = rng.uniform(-3.0, 3.0, size=p.shape)
+        model.params["out.b"].values[EOS] += 1.0
+        pipe = StyleTransferPipeline(load_config(None, {"data.max_len": "8"}))
+        pipe.vocab_, pipe.model_ = Vocabulary([f"w{i}" for i in range(4, 12)]), model
+        X = [" ".join(f"w{i}" for i in ids) for ids in
+             ([4, 5, 6, 7], [8, 9, 10], [5, 4], [11, 6, 9, 7, 4], [7], [9, 9, 10])]
+        tokens, gates = transfer_sentences(model, [pipe.vocab_.encode(x) for x in X], 1,
+                                           max_len=8)
+        assert any(PAD in t for t in tokens)
+        outs, lams = pipe.transform(X, target_style=1, return_relevance=True)
+        assert [len(lam) for lam in lams] == [len(out.split()) for out in outs]
+        for t, g, lam in zip(tokens, gates, lams):
+            assert lam == [float(g[j]) for j, tok in enumerate(t) if tok != PAD]
+
     def test_not_fitted_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             StyleTransferPipeline().transform(["hello"], target_style=0)
@@ -62,6 +111,38 @@ class TestStyleTransferPipeline:
         cfg = load_config(None, {"model.embed_dim": "16"})
         assert StyleTransferPipeline(cfg).get_params() == {"config": cfg}
         assert StyleTransferPipeline().get_params() == {"config": load_config(None)}
+
+
+class TestAblationVariants:
+    def test_no_nsc_fit_keeps_the_stage1_model_and_decodes_unstyled(self, small_corpus,
+                                                                    monkeypatch):
+        stage1_hash = []
+
+        def record_stage1(*args, **kwargs):
+            model, eta, metrics = train_stage1(*args, **kwargs)
+            stage1_hash.append(params_hash(model.params))
+            return model, eta, metrics
+
+        monkeypatch.setattr(pipeline_module, "train_stage1", record_stage1)
+        cfg = load_config(None, {**SMALL_RUN, "stage2.ablation": "no-nsc"})
+        pipe = StyleTransferPipeline(cfg).fit(small_corpus.train_sentences,
+                                              small_corpus.train_labels)
+        assert pipe.model_.weights_hash() == stage1_hash[0]
+        X = small_corpus.test_sentences
+        ids = [pipe.vocab_.encode(s) for s in X]
+        unstyled, _ = transfer_sentences(pipe.model_, ids, 1, max_len=cfg.data.max_len,
+                                         styled=False)
+        assert pipe.transform(X, target_style=1) == [pipe.vocab_.decode(o) for o in unstyled]
+
+    def test_no_lxlambda_trains_stage1_without_the_relevance_term(self, small_corpus):
+        cfg = load_config(None, {**SMALL_RUN, "stage2.ablation": "no-lxlambda"})
+        vocab = build_vocab(small_corpus.train_sentences)
+        train = encode_corpus(cfg, vocab, small_corpus.train_sentences,
+                              small_corpus.train_labels)
+        log = TrainLog()
+        train_stage1(cfg, len(vocab), train_classifier(cfg, len(vocab), train), train, log=log)
+        assert log.rows and all(row["l_xlambda"] == 0.0 for row in log.rows)
+        assert all(row["total"] == row["l_sr"] > 0.0 for row in log.rows)
 
 
 class TestEvaluateTransfer:

@@ -56,11 +56,11 @@ def stage2_trainer(vocab, small_classifier, lam_cache, encoded_train, cfg=None):
 
 class TestAblationResolution:
     def test_known_variants(self):
-        assert resolve_ablation("no-nsc") == frozenset({"no-nsc"})
-        assert resolve_ablation("NSC-lambda") == frozenset({"nsc-lambda"})
-        assert resolve_ablation("-NSC") == frozenset({"no-nsc"})
-        assert resolve_ablation("Finetuning-") == frozenset({"no-finetune"})
-        assert resolve_ablation("full") == frozenset()
+        assert resolve_ablation("no-nsc") == "no-nsc"
+        assert resolve_ablation("NSC-lambda") == "nsc-lambda"
+        assert resolve_ablation("-NSC") == "no-nsc"
+        assert resolve_ablation("Finetuning-") == "no-finetune"
+        assert resolve_ablation("full") == "full"
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown ablation"):

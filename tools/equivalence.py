@@ -29,8 +29,9 @@ records:
 * ``cli``: ``train-classifier``, ``train-lm``, ``train-stage1`` and
   ``train-stage2`` run through ``restyle.cli.main`` on a small generated
   corpus (the seed is the corpus seed and ``run.root_seed``) with a small
-  config, and the ``params_hash`` of all seven checkpoints, the ``total``
-  column of both ``train_log`` CSVs and a hash of the corpus files.
+  config, then ``train-stage2`` again under each ``stage2.ablation`` of
+  ``CLI_VARIANTS``; the ``params_hash`` of all nine checkpoints, the ``total``
+  column of every ``train_log`` CSV and a hash of the corpus files.
 
 The result holds, per seed, both records and whether the loss totals and
 hashes are identical, each step's relative gap in the loss total and in each
@@ -63,6 +64,9 @@ STAGE1_SEED = 7
 STAGE2_TERMS = ("l_st", "l_ylambda", "l_cp", "l_lm")
 TRANSFER_MODES = {"styled": {}, "gate_override_0": {"gate_override": 0.0},
                   "unstyled": {"styled": False}}
+# stage-2 variants the cli record also trains: a decode-time gate and a
+# parameter-group change
+CLI_VARIANTS = ("nsc-lambda", "no-finetune")
 
 CLI_CONFIG = """
 [run]
@@ -249,9 +253,11 @@ def worker_cli(checkout: Path, seed: int, work: Path, out: Path) -> None:
     config = work / "config.ini"
     config.write_text(CLI_CONFIG.format(seed=seed, corpus=corpus))
     run_dir = work / "run"
-    for command in ("train-classifier", "train-lm", "train-stage1", "train-stage2"):
-        if main(["--config", str(config), "--run-dir", str(run_dir), command]) != 0:
-            raise SystemExit(f"{command} failed in {checkout}")
+    commands = [[c] for c in ("train-classifier", "train-lm", "train-stage1", "train-stage2")]
+    commands += [["--set", f"stage2.ablation={v}", "train-stage2"] for v in CLI_VARIANTS]
+    for command in commands:
+        if main(["--config", str(config), "--run-dir", str(run_dir), *command]) != 0:
+            raise SystemExit(f"{' '.join(command)} failed in {checkout}")
     digest = hashlib.sha256()
     for path in sorted(corpus.iterdir()):
         digest.update(path.name.encode() + path.read_bytes())
