@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from restyle.checkpoint import (
     atomic_write,
@@ -68,15 +71,13 @@ class GradCheckFailure(CliError):
 
 def update_manifest(run_dir: Path, cfg: ExperimentConfig, updates: dict) -> dict:
     path = run_dir / "manifest.json"
-    manifest = {}
-    if path.exists():
-        manifest = json.loads(path.read_text())
-    manifest.setdefault("artifacts", {})
-    manifest.setdefault("corpus_hashes", {})
-    manifest.setdefault("seeds", {})
+    manifest = json.loads(path.read_text()) if path.exists() else {}
+    for key in ("artifacts", "corpus_hashes", "seeds"):
+        manifest.setdefault(key, {})
     manifest["config"] = cfg.to_dict()
     manifest["config_hash"] = config_hash(cfg.to_dict())
     manifest["root_seed"] = cfg.root_seed
+    manifest["blas"] = blas_record()
     for key, value in updates.items():
         if key in ("artifacts", "corpus_hashes", "seeds"):
             manifest[key].update(value)
@@ -87,6 +88,19 @@ def update_manifest(run_dir: Path, cfg: ExperimentConfig, updates: dict) -> dict
             raise CliError(f"manifest references missing artifact {name}")
     write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
+
+
+def blas_record() -> dict:
+    """How BLAS ran: numpy's BLAS and LAPACK libraries, the thread-count
+    variables (None when unset) and the CPU count."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        libs = [deps[k].get("name") for k in ("blas", "lapack")]
+    except (TypeError, KeyError):   # numpy before 1.26 has no mode="dicts"
+        libs = []
+    return {"libraries": libs, "cpu_count": os.cpu_count(),
+            **{var: os.environ.get(var) for var in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -134,15 +148,6 @@ def load_split(cfg: ExperimentConfig, vocab: Vocabulary, split: str) -> LabeledC
     return encode_corpus(cfg, vocab, sentences, labels)
 
 
-def corpus_file_hashes(cfg: ExperimentConfig, split: str) -> dict:
-    out = {}
-    for style in (0, 1):
-        p = getattr(cfg.data, f"{split}_style{style}")
-        if p and Path(p).exists():
-            out[f"{split}.style{style}"] = file_hash(p)
-    return out
-
-
 MODELS = {"classifier": TextCnnStyleClassifier, "lm": DirectionalLanguageModel,
           "seq2seq": Seq2seqModel}
 
@@ -180,14 +185,9 @@ def load_model(path: Path, kind: str, vocab: Vocabulary, what: str | None = None
 def run_lrp(run_dir: Path) -> tuple[float | None, float | None]:
     """The (eta, epsilon) stage 1 trained with, from the stage1.ckpt header.
     Each is None when the run does not record it."""
-    header = {}
     ckpt = run_dir / "stage1.ckpt"
-    if ckpt.exists():
-        header, _ = load_checkpoint(ckpt)
-    eta = header.get("eta")
-    epsilon = header.get("epsilon")
-    return (None if eta is None else float(eta),
-            None if epsilon is None else float(epsilon))
+    header = load_checkpoint(ckpt)[0] if ckpt.exists() else {}
+    return tuple(None if header.get(k) is None else float(header[k]) for k in ("eta", "epsilon"))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,8 @@ def cmd_train_classifier(args, cfg: ExperimentConfig) -> int:
     update_manifest(run_dir, cfg, {
         "artifacts": {"classifier.ckpt": file_hash(run_dir / "classifier.ckpt"),
                       "vocab.txt": file_hash(run_dir / "vocab.txt")},
-        "corpus_hashes": corpus_file_hashes(cfg, "train"),
+        "corpus_hashes": {f"train.style{s}": file_hash(getattr(cfg.data, f"train_style{s}"))
+                          for s in (0, 1)},
         "seeds": {"classifier": clf.seed},
         "classifier_dev_accuracy": clf.dev_accuracy_,
     })
@@ -254,21 +255,32 @@ def cmd_train_stage1(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
+def load_stage1(run_dir: Path, cfg: ExperimentConfig, vocab: Vocabulary):
+    """``(model, header)`` of the run's ``stage1.ckpt``, refused unless its
+    ``lxlambda_off`` (False when absent) is the variant's."""
+    model, header = load_model(run_dir / "stage1.ckpt", "seq2seq", vocab, "stage1 checkpoint")
+    off = cfg.stage1.lxlambda_off
+    if header.get("lxlambda_off", False) != off:
+        name = cfg.stage2.ablation
+        raise CliError(f"variant {name} needs a stage1.ckpt trained with "
+                       f"stage1.lxlambda_off = {str(off).lower()}; retrain stage 1 under "
+                       f"stage2.ablation = {name} first")
+    return model, header
+
+
 def run_stage2(run_dir: Path, cfg: ExperimentConfig, vocab: Vocabulary) -> Seq2seqModel:
     """Fine-tune the run's stage-1 model as the variant ``stage2.ablation`` says
     and save it as ``stage2.ckpt``, or ``stage2.<variant>.ckpt`` for an
-    ablation; returns the model."""
-    name, variant = cfg.stage2.ablation, cfg.stage2.variant
-    if not variant.nsc:
+    ablation; returns the model. It reads the LMs only if ``uses_lms``."""
+    name = cfg.stage2.ablation
+    if not cfg.stage2.variant.nsc:
         raise CliError(f"variant {name} has no stage-2 training; evaluate stage1.ckpt instead")
     clf, _ = load_model(run_dir / "classifier.ckpt", "classifier", vocab)
-    model, header = load_model(run_dir / "stage1.ckpt", "seq2seq", vocab, "stage1 checkpoint")
-    if not variant.lxlambda and not header.get("lxlambda_off", False):
-        raise CliError(f"variant {name} needs a stage1.ckpt trained with "
-                       f"stage1.lxlambda_off = true; retrain stage 1 under "
-                       f"stage2.ablation = {name} first")
-    lms = {(s, d): load_model(run_dir / f"lm.{s}.{d}.ckpt", "lm", vocab)[0]
-           for s in (0, 1) for d in ("forward", "backward")}
+    model, header = load_stage1(run_dir, cfg, vocab)
+    lms = {}
+    if cfg.stage2.uses_lms:
+        lms = {(s, d): load_model(run_dir / f"lm.{s}.{d}.ckpt", "lm", vocab)[0]
+               for s in (0, 1) for d in ("forward", "backward")}
     train = load_split(cfg, vocab, "train")
     suffix = "" if name == "full" else f".{name}"
     log = TrainLog(run_dir / f"train_log.stage2{suffix}.csv")
@@ -410,14 +422,13 @@ def cmd_lrp_inspect(args, cfg: ExperimentConfig) -> int:
 def cmd_gradcheck(args, cfg: ExperimentConfig) -> int:
     from restyle.gradcheck import run_gradient_suite
 
-    results = run_gradient_suite(seed=args.seed,
-                                 max_coords_per_param=args.coords_per_param)
-    for loss_name in ("l_sr", "l_xlambda", "l_st", "l_ylambda", "l_cp", "l_lm",
-                      "l2_combined"):
-        per = results[loss_name]
+    results = run_gradient_suite(seed=args.seed, max_coords_per_param=args.coords_per_param,
+                                 stage2=cfg.stage2)
+    worst = results.pop("max_relative_error")
+    print(f"variant {cfg.stage2.ablation}")
+    for loss_name, per in results.items():
         worst_param = max(per, key=per.get)
         print(f"{loss_name:12s} max_rel_error {per[worst_param]:.3e} ({worst_param})")
-    worst = results["max_relative_error"]
     print(f"overall max relative error: {worst:.3e}")
     if not worst < args.threshold:
         raise GradCheckFailure(
@@ -436,7 +447,7 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
     if variant.nsc:
         model = run_stage2(run_dir, cfg, vocab)
     else:
-        model, _ = load_model(run_dir / "stage1.ckpt", "seq2seq", vocab, "stage1 checkpoint")
+        model, _ = load_stage1(run_dir, cfg, vocab)
     sentences = [vocab.decode(s) for s in test.sentences]
     report, _ = evaluate_transfer(model, clf, vocab, sentences, test.labels,
                                   references, max_len=cfg.data.max_len, **variant.decoding)
@@ -534,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relevance mapping epsilon (default: the stage-1 checkpoint's when "
                         "the run's eta is used, else lrp.epsilon)")
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of all losses")
+    p = sub.add_parser("gradcheck",
+                       help="finite-difference check of the losses stage2.ablation trains")
     p.add_argument("--threshold", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coords-per-param", type=int, default=4)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import configparser
 import inspect
-from dataclasses import dataclass, field, fields, make_dataclass
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
 
 from restyle.base import derive_seed
 from restyle.language_model import DirectionalLanguageModel
@@ -90,9 +90,8 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         out = {"root_seed": self.root_seed}
         for name in SECTIONS:
-            section = getattr(self, name)
-            out[name] = {f.name: _plain(getattr(section, f.name))
-                         for f in fields(section)}
+            out[name] = {k: list(v) if isinstance(v, tuple) else v
+                         for k, v in asdict(getattr(self, name)).items()}
         return out
 
     def lrp_config(self, calibrated_eta: float | None = None) -> LrpConfig:
@@ -103,12 +102,6 @@ class ExperimentConfig:
         else:
             eta = float(self.lrp.eta)
         return LrpConfig(eta=eta, epsilon=self.lrp.epsilon, stabilizer=self.lrp.stabilizer)
-
-
-def _plain(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v
 
 
 def _coerce(current, raw: str):

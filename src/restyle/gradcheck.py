@@ -5,11 +5,14 @@ Builds a toy system (vocab 8, hidden 8, one two-sentence batch per source
 style), freezes the stage-1 corruption and the gumbel noise, and checks
 d(loss)/d(theta) for each named parameter tensor of the sequence model
 against central differences. The losses are the ones the trainers minimise,
-``stage1_losses`` and ``stage2_losses``: each term and the combined stage-2
-objective, in both transfer directions.
+``stage1_losses`` and ``stage2_losses`` under a run's variant and loss
+weights: each term and the combined stage-2 objective, in both transfer
+directions.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -88,11 +91,12 @@ def stage2_loss_fns(model, clf, lms, batch, lam_x, source_style, tau, noise,
     return {**fns, "l2_combined": term("total")}
 
 
-def run_gradient_suite(seed: int = 0, step: float = 1e-5,
-                       max_coords_per_param: int = 4) -> dict:
-    """Returns {loss_name: {"param (source s)": max_rel_error}} plus overall max."""
+def run_gradient_suite(seed: int = 0, step: float = 1e-5, max_coords_per_param: int = 4,
+                       stage2: Stage2Config | None = None) -> dict:
+    """Returns {loss_name: {"param (source s)": max_rel_error}} plus overall max;
+    stage 2's terms under ``stage2`` (default ``Stage2Config()``), if it has any."""
     model, clf, lms, batches, cache, lrp_cfg = build_toy_system(seed)
-    cfg = Stage2Config(max_len=5)
+    cfg = replace(stage2 or Stage2Config(), max_len=5)
     tau = 0.6
     frozen = np.random.default_rng(seed)
     results: dict = {}
@@ -102,9 +106,10 @@ def run_gradient_suite(seed: int = 0, step: float = 1e-5,
         lam_x = cache.batch_matrix(batch)
         corrupted = corrupt_batch(batch, model.vocab_size, 0.5, frozen)
         noise = sample_gumbel(frozen, (cfg.max_len, batch.enc_ids.shape[0], model.vocab_size))
-        fns = {**stage1_loss_fns(model, batch, lam_x, corrupted),
-               **stage2_loss_fns(model, clf, lms, batch, lam_x, source, tau, noise, cfg,
-                                 lrp_cfg)}
+        fns = stage1_loss_fns(model, batch, lam_x, corrupted)
+        if cfg.variant.nsc:
+            fns.update(stage2_loss_fns(model, clf, lms, batch, lam_x, source, tau, noise,
+                                       cfg, lrp_cfg))
         for loss_name, fn in fns.items():
             per_param = results.setdefault(loss_name, {})
             for pname in sorted(model.params):

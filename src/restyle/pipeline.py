@@ -39,8 +39,8 @@ class StyleTransferPipeline(ParamMixin):
         self.stage1_metrics_ = None
 
     def fit(self, X, y, X_dev=None, y_dev=None):
-        """Train on (X, y) every stage the ablation variant ``stage2.ablation``
-        runs; stage 1 early-stops on (X_dev, y_dev) when given."""
+        """Train on (X, y) every stage and LM the ablation variant
+        ``stage2.ablation`` reads; stage 1 early-stops on (X_dev, y_dev) if given."""
         cfg = self.config
         y = check_binary_labels(list(y), len(X))
         self.vocab_ = build_vocab(maybe_lower(X, cfg), min_freq=cfg.data.min_freq)
@@ -54,8 +54,10 @@ class StyleTransferPipeline(ParamMixin):
         self.model_, eta, self.stage1_metrics_ = train_stage1(cfg, V, self.classifier_,
                                                               train, dev)
         self.lrp_config_ = cfg.lrp_config(calibrated_eta=eta)
-        self.lms_ = train_language_models(cfg, V, train)
+        self.lms_ = {}
         if cfg.stage2.variant.nsc:
+            if cfg.stage2.uses_lms:
+                self.lms_ = train_language_models(cfg, V, train)
             train_stage2(cfg, self.model_, self.classifier_, self.lms_, eta, train)
         return self
 

@@ -135,6 +135,11 @@ class Stage2Config:
     def variant(self) -> Variant:
         return VARIANTS[self.ablation]
 
+    @property
+    def uses_lms(self) -> bool:
+        """Stage 2 reads the LMs: the variant keeps ``L_lm`` and gamma > 0."""
+        return self.variant.lm and self.gamma > 0
+
 
 @dataclass
 class LossBreakdown:
@@ -363,7 +368,7 @@ def stage2_losses(model: Seq2seqModel, classifier: TextCnnStyleClassifier, lms: 
     """
     variant = cfg.variant
     alpha = cfg.alpha if variant.ylambda else 0.0
-    gamma = cfg.gamma if variant.lm else 0.0
+    gamma = cfg.gamma if cfg.uses_lms else 0.0
 
     target_style = 1 - source_style
     B = batch.enc_ids.shape[0]

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,34 @@ class TestPipelineCommands:
         assert main([*common, *variant, "train-stage2"]) == 0
         assert (work / "stage2.no-lxlambda.ckpt").exists()
         capsys.readouterr()
+
+    def test_05d2_another_variant_refuses_a_no_lxlambda_stage1(self, cli_env, capsys,
+                                                               tmp_path):
+        work = copy_run(cli_env, tmp_path / "run",
+                        ["vocab.txt", "classifier.ckpt", "stage1.ckpt", *LM_NAMES])
+        common = ["--config", cli_env["config"], "--run-dir", str(work)]
+        assert main([*common, "--set", "stage2.ablation=no-lxlambda", "--set", "stage1.epochs=1",
+                     "train-stage1"]) == 0
+        capsys.readouterr()
+        assert main([*common, "train-stage2"]) == 1
+        assert "variant full needs a stage1.ckpt trained with stage1.lxlambda_off = false" \
+            in capsys.readouterr().err
+        assert not (work / "stage2.ckpt").exists()
+        assert main([*common, "--set", "stage2.ablation=no-nsc", "ablate"]) == 1
+        assert "stage1.lxlambda_off = false" in capsys.readouterr().err
+        assert not (work / "ablations.csv").exists()
+
+    @pytest.mark.parametrize("setting", ["stage2.ablation=no-lm", "stage2.gamma=0"])
+    def test_05d3_stage2_without_fluency_reads_no_lm(self, cli_env, capsys, tmp_path, setting):
+        common = ["--config", cli_env["config"], "--set", setting]
+        hashes = []
+        for name, lms in (("bare", []), ("with-lms", LM_NAMES)):
+            work = copy_run(cli_env, tmp_path / name,
+                            ["vocab.txt", "classifier.ckpt", "stage1.ckpt", *lms])
+            assert main([*common, "--run-dir", str(work), "train-stage2"]) == 0
+            hashes.append(checkpoint_hash(next(work.glob("stage2*.ckpt"))))
+        capsys.readouterr()
+        assert hashes[0] == hashes[1]
 
     def test_05e_train_stage2_reads_the_ablation_key(self, cli_env, capsys, tmp_path):
         from restyle.checkpoint import load_checkpoint
@@ -503,8 +532,6 @@ class TestPipelineCommands:
 
     def test_13_interrupted_writes_keep_previous_files(self, cli_env, capsys, tmp_path,
                                                        monkeypatch):
-        import os
-
         run_dir = Path(cli_env["run_dir"])
         work = tmp_path / "run"
         work.mkdir()
@@ -547,15 +574,23 @@ class TestPipelineCommands:
         assert "error:" in captured.err
 
 
+STAGE1_TERMS = ("l_sr", "l_xlambda")
+STAGE2_TERMS = ("l_st", "l_ylambda", "l_cp", "l_lm", "l2_combined")
+
+
 class TestGradcheckCommand:
-    def test_gradcheck_passes_and_prints_error(self, capsys):
-        rc = main(["gradcheck", "--coords-per-param", "2"])
+    @pytest.mark.parametrize("variant", ["full", "nsc-lambda", "lcp-prime", "no-lylambda",
+                                         "no-lm", "no-nsc"])
+    def test_gradcheck_passes_and_prints_error(self, capsys, variant):
+        rc = main(["--set", f"stage2.ablation={variant}", "gradcheck",
+                   "--coords-per-param", "1"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "overall max relative error" in out
-        for name in ("l_sr", "l_xlambda", "l_st", "l_ylambda", "l_cp", "l_lm",
-                     "l2_combined"):
-            assert name in out
+        lines = out.splitlines()
+        assert lines[0] == f"variant {variant}"
+        assert lines[-1].startswith("overall max relative error")
+        terms = STAGE1_TERMS + (STAGE2_TERMS if variant != "no-nsc" else ())
+        assert [line.split()[0] for line in lines[1:-1]] == list(terms)
 
     def test_gradcheck_threshold_failure(self, capsys):
         rc = main(["gradcheck", "--coords-per-param", "1", "--threshold", "1e-12"])
@@ -601,9 +636,20 @@ class TestReferences:
 
 
 class TestManifest:
-    def test_interrupted_update_keeps_previous_manifest(self, tmp_path, monkeypatch):
-        import os
+    def test_manifest_records_how_blas_ran(self, cli_env, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert main(["--config", cli_env["config"], "--run-dir", str(tmp_path),
+                     "train-classifier"]) == 0
+        capsys.readouterr()
+        blas = json.loads((tmp_path / "manifest.json").read_text())["blas"]
+        libraries = np.show_config(mode="dicts")["Build Dependencies"]
+        assert blas == {"libraries": [libraries["blas"]["name"], libraries["lapack"]["name"]],
+                        "cpu_count": os.cpu_count(), "OPENBLAS_NUM_THREADS": "1",
+                        "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
 
+    def test_interrupted_update_keeps_previous_manifest(self, tmp_path, monkeypatch):
         from restyle.cli import update_manifest
         from restyle.config import load_config
 

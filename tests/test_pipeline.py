@@ -128,11 +128,19 @@ class TestAblationVariants:
         pipe = StyleTransferPipeline(cfg).fit(small_corpus.train_sentences,
                                               small_corpus.train_labels)
         assert pipe.model_.weights_hash() == stage1_hash[0]
+        assert pipe.lms_ == {}
         X = small_corpus.test_sentences
         ids = [pipe.vocab_.encode(s) for s in X]
         unstyled, _ = transfer_sentences(pipe.model_, ids, 1, max_len=cfg.data.max_len,
                                          styled=False)
         assert pipe.transform(X, target_style=1) == [pipe.vocab_.decode(o) for o in unstyled]
+
+    @pytest.mark.parametrize("setting", [{"stage2.ablation": "no-lm"}, {"stage2.gamma": "0"}],
+                             ids=["no-lm", "gamma-0"])
+    def test_fit_without_fluency_trains_no_language_model(self, small_corpus, setting):
+        pipe = StyleTransferPipeline(load_config(None, {**SMALL_RUN, **setting}))
+        pipe.fit(small_corpus.train_sentences, small_corpus.train_labels)
+        assert pipe.lms_ == {}
 
     def test_no_lxlambda_trains_stage1_without_the_relevance_term(self, small_corpus):
         cfg = load_config(None, {**SMALL_RUN, "stage2.ablation": "no-lxlambda"})

@@ -30,7 +30,7 @@ records:
   ``train-stage2`` run through ``restyle.cli.main`` on a small generated
   corpus (the seed is the corpus seed and ``run.root_seed``) with a small
   config, then ``train-stage2`` again under each ``stage2.ablation`` of
-  ``CLI_VARIANTS``; the ``params_hash`` of all nine checkpoints, the ``total``
+  ``CLI_VARIANTS``; the ``params_hash`` of all twelve checkpoints, the ``total``
   column of every ``train_log`` CSV and a hash of the corpus files.
 
 The result holds, per seed, both records and whether the loss totals and
@@ -64,9 +64,9 @@ STAGE1_SEED = 7
 STAGE2_TERMS = ("l_st", "l_ylambda", "l_cp", "l_lm")
 TRANSFER_MODES = {"styled": {}, "gate_override_0": {"gate_override": 0.0},
                   "unstyled": {"styled": False}}
-# stage-2 variants the cli record also trains: a decode-time gate and a
-# parameter-group change
-CLI_VARIANTS = ("nsc-lambda", "no-finetune")
+# stage-2 variants the cli record also trains: a decode-time gate, a
+# parameter-group change, and three loss-term changes (``no-lm`` reads no LM)
+CLI_VARIANTS = ("nsc-lambda", "no-finetune", "no-lm", "lcp-prime", "no-lylambda")
 
 CLI_CONFIG = """
 [run]
