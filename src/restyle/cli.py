@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from pathlib import Path
@@ -155,11 +156,13 @@ MODELS = {"classifier": TextCnnStyleClassifier, "lm": DirectionalLanguageModel,
 def save_model(path: Path, kind: str, model, vocab: Vocabulary, cfg: ExperimentConfig,
                **extra) -> None:
     """Checkpoint ``model``'s weights under a header of its kind, vocabulary,
-    config, constructor parameters (less ``vocab_size``) and ``extra``."""
+    config, how BLAS ran, constructor parameters (less ``vocab_size``) and
+    ``extra``."""
     params = model.get_params()
     del params["vocab_size"]
     header = {"kind": kind, "vocab_hash": vocab.content_hash(),
-              "config_hash": config_hash(cfg.to_dict()), **params, **extra}
+              "config_hash": config_hash(cfg.to_dict()), "blas": blas_record(), **params,
+              **extra}
     save_checkpoint(path, model.parameters(), header)
 
 
@@ -504,6 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for checkpoints, logs and the manifest")
     parser.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                         help="override a config value")
+    parser.add_argument("--log-level", type=str.upper, default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="messages logged to stderr from this level on (INFO adds "
+                             "per-epoch training metrics)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("train-classifier", help="pre-train the style classifier")
@@ -571,6 +578,9 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # force: each run in one process logs to the stderr of its own call
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s",
+                        force=True)
     try:
         overrides = {}
         for item in args.set:

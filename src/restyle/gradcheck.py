@@ -25,6 +25,7 @@ from restyle.training import (
     LambdaTargetCache,
     LrpConfig,
     Stage2Config,
+    Variant,
     stage1_losses,
     stage2_losses,
 )
@@ -66,18 +67,23 @@ def build_toy_system(seed: int = 0, vocab_size: int = 8, hidden: int = 8):
     return model, clf, lms, batches, cache, lrp_cfg
 
 
-def stage1_loss_fns(model, batch, lam_x, corrupted_enc_ids) -> dict:
-    """Closures over ``stage1_losses`` for a fixed batch and corruption."""
+def stage1_loss_fns(model, batch, lam_x, corrupted_enc_ids, variant: Variant) -> dict:
+    """Closures over ``stage1_losses`` for a fixed batch and corruption: the
+    terms stage 1 trains under ``variant``."""
     def term(i):
         return lambda: stage1_losses(model, batch, lam_x, corrupted_enc_ids)[i]
 
-    return {"l_sr": term(0), "l_xlambda": term(1)}
+    fns = {"l_sr": term(0)}
+    if variant.lxlambda:
+        fns["l_xlambda"] = term(1)
+    return fns
 
 
 def stage2_loss_fns(model, clf, lms, batch, lam_x, source_style, tau, noise,
                     cfg, lrp_cfg) -> dict:
     """Closures over ``stage2_losses`` for a fixed batch, tau and noise: each
-    term as the trainer logs it, and the total as ``l2_combined``."""
+    term ``cfg`` trains as the trainer logs it, and the total as
+    ``l2_combined``."""
     def term(name):
         def fn():
             _, losses = stage2_losses(model, clf, lms, batch, lam_x, source_style, tau,
@@ -87,14 +93,18 @@ def stage2_loss_fns(model, clf, lms, batch, lam_x, source_style, tau, noise,
             return losses[name]
         return fn
 
-    fns = {name: term(name) for name in ("l_st", "l_ylambda", "l_cp", "l_lm")}
+    # stage2_losses gives a term the variant or its weight switches off as the constant 0
+    trained = {"l_st": True, "l_ylambda": cfg.variant.ylambda and cfg.alpha > 0,
+               "l_cp": True, "l_lm": cfg.uses_lms}
+    fns = {name: term(name) for name, on in trained.items() if on}
     return {**fns, "l2_combined": term("total")}
 
 
 def run_gradient_suite(seed: int = 0, step: float = 1e-5, max_coords_per_param: int = 4,
                        stage2: Stage2Config | None = None) -> dict:
-    """Returns {loss_name: {"param (source s)": max_rel_error}} plus overall max;
-    stage 2's terms under ``stage2`` (default ``Stage2Config()``), if it has any."""
+    """Returns {loss_name: {"param (source s)": max_rel_error}} plus overall max,
+    for the stage-1 and stage-2 terms the variant of ``stage2`` (default
+    ``Stage2Config()``) trains."""
     model, clf, lms, batches, cache, lrp_cfg = build_toy_system(seed)
     cfg = replace(stage2 or Stage2Config(), max_len=5)
     tau = 0.6
@@ -106,7 +116,7 @@ def run_gradient_suite(seed: int = 0, step: float = 1e-5, max_coords_per_param: 
         lam_x = cache.batch_matrix(batch)
         corrupted = corrupt_batch(batch, model.vocab_size, 0.5, frozen)
         noise = sample_gumbel(frozen, (cfg.max_len, batch.enc_ids.shape[0], model.vocab_size))
-        fns = stage1_loss_fns(model, batch, lam_x, corrupted)
+        fns = stage1_loss_fns(model, batch, lam_x, corrupted, cfg.variant)
         if cfg.variant.nsc:
             fns.update(stage2_loss_fns(model, clf, lms, batch, lam_x, source, tau, noise,
                                        cfg, lrp_cfg))

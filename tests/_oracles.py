@@ -1,5 +1,8 @@
 """Independent oracles shared by module tests and the acceptance suite."""
 
+import math
+from collections import Counter
+
 import numpy as np
 
 from restyle import autodiff as ad
@@ -128,3 +131,48 @@ def marker_positions(sentence: str) -> list[int]:
     """Indices of marker tokens within the whitespace tokenization."""
     all_markers = set(MARKERS[0]) | set(MARKERS[1])
     return [i for i, tok in enumerate(sentence.split()) if tok in all_markers]
+
+
+def _ngrams(tokens, n):
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def counter_bleu(outputs, references, max_n: int = 4, smooth: bool = False) -> float:
+    """Corpus BLEU counted sentence by sentence with a ``Counter`` per n-gram
+    order and reference; ``metrics.corpus_bleu`` must give the same float."""
+    if len(outputs) != len(references):
+        raise ValueError(
+            f"corpus_bleu: {len(outputs)} outputs vs {len(references)} reference sets")
+    matches = [0] * max_n
+    totals = [0] * max_n
+    hyp_len = 0
+    ref_len = 0
+    for hyp, refs in zip(outputs, references):
+        hyp = hyp.split() if isinstance(hyp, str) else list(hyp)
+        refs = [r.split() if isinstance(r, str) else list(r) for r in refs]
+        if not refs:
+            raise ValueError("corpus_bleu: sentence with no references")
+        hyp_len += len(hyp)
+        ref_len += min((abs(len(r) - len(hyp)), len(r)) for r in refs)[1]
+        for n in range(1, max_n + 1):
+            counts = _ngrams(hyp, n)
+            if not counts:
+                continue
+            clip = Counter()
+            for r in refs:
+                rc = _ngrams(r, n)
+                for g in counts:
+                    clip[g] = max(clip[g], rc.get(g, 0))
+            matches[n - 1] += sum(min(c, clip[g]) for g, c in counts.items())
+            totals[n - 1] += sum(counts.values())
+    log_precisions = []
+    for n in range(max_n):
+        m, t = matches[n], totals[n]
+        if smooth and n > 0:
+            m, t = m + 1, t + 1
+        if t == 0 or m == 0:
+            return 0.0
+        log_precisions.append(math.log(m / t))
+    geo = math.exp(sum(log_precisions) / max_n)
+    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / max(hyp_len, 1))
+    return 100.0 * geo * bp

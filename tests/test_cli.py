@@ -1,5 +1,7 @@
 import json
+import logging
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,18 @@ import pytest
 from restyle.autodiff import parameter
 from restyle.cli import main
 from restyle.synthetic import generate_marker_corpus, write_corpus_files
+
+
+@pytest.fixture(autouse=True)
+def restore_root_logger():
+    """``main`` sets up the root logger on every call, with a handler on the
+    stderr of that call; put it back after each test, so that no handler
+    outlives the test's captured stderr."""
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    yield
+    root.handlers[:] = handlers
+    root.setLevel(level)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +140,16 @@ class TestPipelineCommands:
         assert (run_dir / "train_log.stage1.csv").exists()
         header = (run_dir / "train_log.stage1.csv").read_text().splitlines()[0]
         assert header == "step,l_sr,l_xlambda,l_st,l_ylambda,l_cp,l_lm,total,grad_norm_preclip"
+
+    def test_04b_log_level_prints_epoch_metrics(self, cli_env, capsys, tmp_path):
+        run = copy_run(cli_env, tmp_path / "run", ["vocab.txt"])
+        argv = ["--config", cli_env["config"], "--run-dir", str(run)]
+        assert main([*argv, "train-classifier"]) == 0
+        assert "classifier held-out accuracy" not in capsys.readouterr().err
+        assert main(["--log-level", "info", *argv, "train-stage1"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("INFO restyle.training: stage1 epoch 0: token_acc=")
+                   for line in err)
 
     def test_05_train_stage2(self, cli_env):
         assert run_cli(cli_env, "train-stage2") == 0
@@ -574,13 +598,22 @@ class TestPipelineCommands:
         assert "error:" in captured.err
 
 
-STAGE1_TERMS = ("l_sr", "l_xlambda")
-STAGE2_TERMS = ("l_st", "l_ylambda", "l_cp", "l_lm", "l2_combined")
+ALL_TERMS = ("l_sr", "l_xlambda", "l_st", "l_ylambda", "l_cp", "l_lm", "l2_combined")
+# the terms each variant does not train, so gradcheck does not report them
+UNTRAINED_TERMS = {
+    "full": (),
+    "nsc-lambda": (),
+    "lcp-prime": (),
+    "no-lylambda": ("l_ylambda",),
+    "no-lm": ("l_lm",),
+    "no-lxlambda": ("l_xlambda",),
+    "no-nsc": ("l_st", "l_ylambda", "l_cp", "l_lm", "l2_combined"),
+}
 
 
 class TestGradcheckCommand:
     @pytest.mark.parametrize("variant", ["full", "nsc-lambda", "lcp-prime", "no-lylambda",
-                                         "no-lm", "no-nsc"])
+                                         "no-lm", "no-nsc", "no-lxlambda"])
     def test_gradcheck_passes_and_prints_error(self, capsys, variant):
         rc = main(["--set", f"stage2.ablation={variant}", "gradcheck",
                    "--coords-per-param", "1"])
@@ -589,8 +622,15 @@ class TestGradcheckCommand:
         lines = out.splitlines()
         assert lines[0] == f"variant {variant}"
         assert lines[-1].startswith("overall max relative error")
-        terms = STAGE1_TERMS + (STAGE2_TERMS if variant != "no-nsc" else ())
-        assert [line.split()[0] for line in lines[1:-1]] == list(terms)
+        terms = [t for t in ALL_TERMS if t not in UNTRAINED_TERMS[variant]]
+        assert [line.split()[0] for line in lines[1:-1]] == terms
+
+    @pytest.mark.parametrize("weight,term", [("alpha", "l_ylambda"), ("gamma", "l_lm")])
+    def test_a_zero_weight_term_is_not_reported(self, capsys, weight, term):
+        rc = main(["--set", f"stage2.{weight}=0", "gradcheck", "--coords-per-param", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert [line.split()[0] for line in lines[1:-1]] == [t for t in ALL_TERMS if t != term]
 
     def test_gradcheck_threshold_failure(self, capsys):
         rc = main(["gradcheck", "--coords-per-param", "1", "--threshold", "1e-12"])
@@ -723,11 +763,40 @@ class TestCheckpoints:
         header, _ = load_checkpoint(path)
         params = model.get_params()
         del params["vocab_size"]
-        assert set(header) == {"kind", "vocab_hash", "config_hash", "stage", "eta", *params}
+        assert set(header) == {"kind", "vocab_hash", "config_hash", "blas", "stage", "eta",
+                               *params}
         loaded, loaded_header = load_model(path, kind, vocab)
         assert loaded_header == header
         assert loaded.get_params() == model.get_params()
         assert params_hash(loaded.parameters()) == params_hash(model.parameters())
+
+    def test_header_records_how_blas_ran(self, vocab, tmp_path, monkeypatch):
+        from restyle.checkpoint import load_checkpoint, params_hash
+        from restyle.cli import blas_record, load_model, save_model
+        from restyle.config import load_config
+
+        model = small_model("seq2seq", len(vocab))
+        saved = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            path = tmp_path / f"threads{threads}.ckpt"
+            save_model(path, "seq2seq", model, vocab, load_config(None), stage=1)
+            header, _ = load_checkpoint(path)
+            assert header["blas"] == blas_record()
+            assert header["blas"]["OPENBLAS_NUM_THREADS"] == threads
+            loaded, loaded_header = load_model(path, "seq2seq", vocab)
+            assert loaded_header == header
+            assert params_hash(loaded.parameters()) == params_hash(model.parameters())
+            saved[threads] = header, path.read_bytes()
+        # only the header differs, and in it only the blas block
+        (h1, b1), (h2, b2) = saved["1"], saved["2"]
+        assert {k: v for k, v in h1.items() if k != "blas"} == \
+            {k: v for k, v in h2.items() if k != "blas"}
+
+        def after_header(blob):   # magic, version, header length, header
+            return blob[16 + struct.unpack("<I", blob[12:16])[0]:]
+
+        assert after_header(b1) == after_header(b2)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_parent_format_header_loads(self, kind, vocab, tmp_path):

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from restyle.metrics import aggregate_scores, build_report, corpus_bleu, transfer_accuracy
 
+from _oracles import counter_bleu
+
 
 class TestBleu:
     def test_identical_to_reference_scores_100(self):
@@ -48,6 +50,33 @@ class TestBleu:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="outputs"):
             corpus_bleu(["a"], [["a"], ["b"]])
+        with pytest.raises(ValueError) as err:
+            corpus_bleu(["a", "b"], [["a"]])
+        assert str(err.value) == "corpus_bleu: 2 outputs vs 1 reference sets"
+
+    def test_sentence_without_references_rejected(self):
+        with pytest.raises(ValueError) as err:
+            corpus_bleu(["a b", "c d"], [["a b"], []])
+        assert str(err.value) == "corpus_bleu: sentence with no references"
+
+    def test_clip_is_the_largest_count_in_one_reference(self):
+        # "a" occurs twice in each reference: 2 of the 4 unigrams match, not 4
+        assert corpus_bleu(["a a a a"], [["a a", "a a"]], max_n=1) == 50.0
+
+    def test_equally_close_references_take_the_shorter_length(self):
+        # references of 4 and 6 words are both 1 from the 5-word hypothesis:
+        # the closest length is 4 < 5, so no brevity penalty
+        hyp = "a b c d e"
+        assert corpus_bleu([hyp], [["a b c d", "a b c d e f"]], max_n=1) == 100.0
+        assert corpus_bleu([hyp], [["a b c d e f", "a b c d"]], max_n=1) == 100.0
+
+    def test_ngrams_do_not_span_sentences_or_references(self):
+        # "b c" would match across the end of the first sentence, and "x y"
+        # across the end of the first reference
+        assert corpus_bleu(["a b", "c d"], [["a b"], ["b c"]], max_n=2) == \
+            counter_bleu(["a b", "c d"], [["a b"], ["b c"]], max_n=2)
+        assert corpus_bleu(["x y"], [["q x", "y q"]], max_n=2, smooth=True) == \
+            counter_bleu(["x y"], [["q x", "y q"]], max_n=2, smooth=True)
 
     def test_corpus_level_permutation_invariant(self):
         outs = ["a b c", "d e f", "a d e"]
@@ -55,6 +84,44 @@ class TestBleu:
         base = corpus_bleu(outs, refs)
         perm = corpus_bleu([outs[2], outs[0], outs[1]], [refs[2], refs[0], refs[1]])
         assert base == pytest.approx(perm)
+
+
+def sentences(words, max_len=7):
+    return st.lists(st.sampled_from(words), max_size=max_len)
+
+
+@st.composite
+def bleu_corpora(draw):
+    """A corpus of hypotheses, each with 1-4 references, over a random small
+    vocabulary of words or ints; hypotheses may be empty or shorter than any
+    n-gram order, and a sentence is a string or a token list."""
+    if draw(st.booleans()):
+        words = draw(st.lists(st.text("abcxyz", min_size=1, max_size=2), min_size=1,
+                              max_size=6, unique=True))
+    else:
+        words = draw(st.lists(st.integers(-3, 40), min_size=1, max_size=6, unique=True))
+    as_text = isinstance(words[0], str) and draw(st.booleans())
+    n = draw(st.integers(0, 6))
+    outputs = [draw(sentences(words)) for _ in range(n)]
+    references = [[draw(sentences(words)) for _ in range(draw(st.integers(1, 4)))]
+                  for _ in range(n)]
+    if as_text:
+        outputs = [" ".join(s) for s in outputs]
+        references = [[" ".join(r) for r in refs] for refs in references]
+    return outputs, references
+
+
+class TestBleuAgainstCounterOracle:
+    """``corpus_bleu`` counts over the whole corpus with numpy; the oracle
+    counts sentence by sentence with ``Counter``s. Both sum the same integers,
+    so the scores are equal floats."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bleu_corpora(), st.integers(1, 5), st.booleans())
+    def test_equals_counter_oracle(self, corpus, max_n, smooth):
+        outputs, references = corpus
+        assert corpus_bleu(outputs, references, max_n, smooth) == \
+            counter_bleu(outputs, references, max_n, smooth)
 
 
 class TestTransferAccuracy:

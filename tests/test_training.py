@@ -18,6 +18,7 @@ from restyle.training import (
     Stage2Config,
     Stage2Trainer,
     TrainLog,
+    Variant,
     resolve_ablation,
     stage1_losses,
 )
@@ -241,7 +242,8 @@ class TestGradcheckRunsTheTrainedLosses:
         # the trainer's first draw from its generator corrupts this batch
         corrupted = corrupt_batch(batch, model.vocab_size, cfg.replace_prob,
                                   np.random.default_rng(cfg.seed))
-        fns = stage1_loss_fns(model, batch, lam_cache.batch_matrix(batch), corrupted)
+        fns = stage1_loss_fns(model, batch, lam_cache.batch_matrix(batch), corrupted,
+                              Variant())
         expected = {name: fn().item() for name, fn in fns.items()}
         br = trainer.step(batch)
         assert (br.l_sr, br.l_xlambda) == (expected["l_sr"], expected["l_xlambda"])

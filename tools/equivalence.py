@@ -24,8 +24,9 @@ records:
   recorded stage-2 steps, the greedy token lists and gate matrices of the
   corpus's test sentences toward the opposite style, styled, with
   ``gate_override=0.0`` and with ``styled=False``. The output keeps a digest of
-  each, the number of outputs that contain PAD, and the count of sentences
-  whose tokens differ;
+  each, the number of outputs that contain PAD, the ``repr`` of the outputs'
+  ``corpus_bleu`` against the corpus's test references, and the count of
+  sentences whose tokens differ;
 * ``cli``: ``train-classifier``, ``train-lm``, ``train-stage1`` and
   ``train-stage2`` run through ``restyle.cli.main`` on a small generated
   corpus (the seed is the corpus seed and ``run.root_seed``) with a small
@@ -146,9 +147,12 @@ def record_first_grads(optimizer, params: dict) -> dict:
 
 def transfer_record(model, corpus, max_len: int) -> dict:
     """Per mode of ``TRANSFER_MODES``: greedy token lists and gate rows of the
-    test sentences toward the opposite style, in input order, and the number of
-    outputs that contain PAD."""
+    test sentences toward the opposite style, in input order, the number of
+    outputs that contain PAD, and the ``repr`` of the decoded outputs'
+    ``corpus_bleu`` against the test references, decoded as ``evaluate_transfer``
+    decodes them."""
     from restyle.data import PAD
+    from restyle.metrics import corpus_bleu
     from restyle.pipeline import transfer_sentences
 
     labels = np.asarray(corpus.test.labels)
@@ -161,8 +165,11 @@ def transfer_record(model, corpus, max_len: int) -> dict:
                                             1 - style, max_len=max_len, **kwargs)
             for i, out, row in zip(idx, outs, rows):
                 tokens[i], gates[i] = out, row.tolist()
+        decoded = [corpus.vocab.decode(t) if t else "" for t in tokens]
         record[mode] = {"tokens": tokens, "gates": gates,
-                        "outputs_with_pad": sum(PAD in t for t in tokens)}
+                        "outputs_with_pad": sum(PAD in t for t in tokens),
+                        "corpus_bleu": repr(corpus_bleu(decoded,
+                                                        corpus.raw.test_references))}
     return record
 
 
@@ -302,7 +309,8 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
         r["transfer"] = {model: {mode: {"sentences": len(v["tokens"]),
                                         "tokens_sha256": digest(v["tokens"]),
                                         "gates_sha256": digest(v["gates"]),
-                                        "outputs_with_pad": v["outputs_with_pad"]}
+                                        "outputs_with_pad": v["outputs_with_pad"],
+                                        "corpus_bleu": v["corpus_bleu"]}
                                  for mode, v in modes.items()}
                          for model, modes in r["transfer"].items()}
     ppl_gap = max(abs(p["lm"][k][f] - c["lm"][k][f]) / p["lm"][k][f]

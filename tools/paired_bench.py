@@ -15,15 +15,16 @@ Every result line is appended to ``--log`` as soon as it exists, and pairs
 already in the log are skipped, so an interrupted run resumes.
 
 ``summary`` reads the log and writes, per workload and end-to-end metric, the
-per-pair values, medians and quartiles of each side, the change/parent ratio
-of the medians, the number of pairs the change wins, the parent's quartile
-range, and a verdict by the benchmark's rule: ``lower`` (``higher``) when
-every run of the change reads below (above) every run of the parent; else
-``unresolved`` when either side's quartile spread exceeds the metric's bound
-in ``BENCHMARK.json``; else ``lower`` or ``higher`` when the change wins (or
-loses) at least nine pairs in ten and its median moves by more than the
-parent's quartile range; else ``no demonstrated change``. Each workload also
-names the checks that failed, by side and seed, as the runs reported them.
+per-pair values, extremes, medians and quartiles of each side, the
+change/parent ratio of the medians, the number of pairs the change wins, the
+parent's quartile range, and a verdict by the benchmark's rule: ``lower``
+(``higher``) when every run of the change reads below (above) every run of the
+parent; else ``unresolved`` when either side's quartile spread exceeds the
+metric's bound in ``BENCHMARK.json``; else ``lower`` or ``higher`` when the
+change wins (or loses) at least nine pairs in ten and its median moves by more
+than the parent's quartile range; else ``no demonstrated change``. Each
+workload also names the checks that failed, by side and seed, as the runs
+reported them.
 Traced runs are listed per layer metric, and ``--equivalence`` includes a
 ``tools/equivalence.py`` result.
 """
@@ -83,7 +84,8 @@ def cmd_run(args) -> None:
 
 def quartiles(values: list[float]) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"q1": q1, "median": q2, "q3": q3, "spread": (q3 - q1) / q2 if q2 else None}
+    return {"min": min(values), "q1": q1, "median": q2, "q3": q3, "max": max(values),
+            "spread": (q3 - q1) / q2 if q2 else None}
 
 
 def machine() -> dict:
