@@ -402,21 +402,23 @@ def cmd_lrp_inspect(args, cfg: ExperimentConfig) -> int:
     elif epsilon is None:
         epsilon = cfg.lrp.epsilon
     records = []
-    for sentence, ids, target in zip(sentences, encoded, targets):
-        batch = pack_batch([ids], min_width=max(clf.filter_widths))
-        wr = hard_word_relevance(clf, batch.enc_ids, batch.lengths, target,
+    for lo in range(0, len(sentences), 64):
+        part = slice(lo, lo + 64)
+        batch = pack_batch(encoded[part])
+        wr = hard_word_relevance(clf, batch.enc_ids, batch.lengths, np.asarray(targets[part]),
                                  eta=eta, epsilon=epsilon, stabilizer=cfg.lrp.stabilizer)
-        tokens = sentence.split()
-        lam = wr.lam.values[0, :len(tokens)]
-        raw = wr.raw.values[0, :len(tokens)]
-        for tok, l, r in zip(tokens, lam, raw):
-            print(f"{tok}\t{l:.4f}\t{r:.6f}")
-        print()
-        records.append({"sentence": sentence, "target_style": target,
-                        "tokens": tokens,
-                        "lambda": [round(float(x), 6) for x in lam],
-                        "raw_relevance": [round(float(x), 8) for x in raw],
-                        "eta": eta, "epsilon": epsilon})
+        for i, (sentence, target) in enumerate(zip(sentences[part], targets[part])):
+            tokens = sentence.split()
+            lam = wr.lam.values[i, :len(tokens)]
+            raw = wr.raw.values[i, :len(tokens)]
+            for tok, l, r in zip(tokens, lam, raw):
+                print(f"{tok}\t{l:.4f}\t{r:.6f}")
+            print()
+            records.append({"sentence": sentence, "target_style": target,
+                            "tokens": tokens,
+                            "lambda": [round(float(x), 6) for x in lam],
+                            "raw_relevance": [round(float(x), 8) for x in raw],
+                            "eta": eta, "epsilon": epsilon})
     write_text_atomic(run_dir / "relevance.jsonl",
                       "".join(json.dumps(rec) + "\n" for rec in records))
     return 0

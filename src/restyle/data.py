@@ -126,12 +126,10 @@ class Batch:
 class Batcher:
     """Deterministic shuffled minibatches over a corpus."""
 
-    def __init__(self, corpus: LabeledCorpus, batch_size: int, max_len: int,
-                 seed: int = 0, min_width: int = 1):
+    def __init__(self, corpus: LabeledCorpus, batch_size: int, max_len: int, seed: int = 0):
         self.corpus = corpus
         self.batch_size = batch_size
         self.max_len = max_len
-        self.min_width = min_width
         self.rng = np.random.default_rng(seed)
         self.truncated = 0
 
@@ -153,7 +151,7 @@ class Batcher:
                 logger.debug("truncated sentence %d to %d tokens", i, self.max_len)
             seqs.append(s)
         labels = np.array([self.corpus.labels[int(i)] for i in indices], dtype=np.int64)
-        return pack_batch(seqs, labels, min_width=self.min_width)
+        return pack_batch(seqs, labels)
 
 
 def pack_batch(seqs: list[list[int]], labels=None, min_width: int = 1) -> Batch:

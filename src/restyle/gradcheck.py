@@ -6,8 +6,8 @@ style), freezes the stage-1 corruption and the gumbel noise, and checks
 d(loss)/d(theta) for each named parameter tensor of the sequence model
 against central differences. The losses are the ones the trainers minimise,
 ``stage1_losses`` and ``stage2_losses`` under a run's variant and loss
-weights: each term and the combined stage-2 objective, in both transfer
-directions.
+weights, in both transfer directions: each term those functions return, which
+are the terms the run trains, and the combined stage-2 objective.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from restyle.training import (
     LambdaTargetCache,
     LrpConfig,
     Stage2Config,
-    Variant,
     stage1_losses,
     stage2_losses,
 )
@@ -67,37 +66,24 @@ def build_toy_system(seed: int = 0, vocab_size: int = 8, hidden: int = 8):
     return model, clf, lms, batches, cache, lrp_cfg
 
 
-def stage1_loss_fns(model, batch, lam_x, corrupted_enc_ids, variant: Variant) -> dict:
-    """Closures over ``stage1_losses`` for a fixed batch and corruption: the
-    terms stage 1 trains under ``variant``."""
-    def term(i):
-        return lambda: stage1_losses(model, batch, lam_x, corrupted_enc_ids)[i]
+def term_fns(losses, total: str | None = None) -> dict:
+    """Closures over ``losses``, a call of ``stage1_losses`` or of
+    ``stage2_losses``' dict on fixed inputs: one per term it returns, under the
+    name the trainer logs it by, and ``total`` under the name ``total`` when
+    that is given."""
+    def evaluate():
+        terms = losses()
+        if terms is None:
+            raise ValueError("every toy generation has length 0")
+        return terms
 
-    fns = {"l_sr": term(0)}
-    if variant.lxlambda:
-        fns["l_xlambda"] = term(1)
-    return fns
-
-
-def stage2_loss_fns(model, clf, lms, batch, lam_x, source_style, tau, noise,
-                    cfg, lrp_cfg) -> dict:
-    """Closures over ``stage2_losses`` for a fixed batch, tau and noise: each
-    term ``cfg`` trains as the trainer logs it, and the total as
-    ``l2_combined``."""
     def term(name):
-        def fn():
-            _, losses = stage2_losses(model, clf, lms, batch, lam_x, source_style, tau,
-                                      noise, cfg, lrp_cfg)
-            if losses is None:
-                raise ValueError("every toy generation has length 0")
-            return losses[name]
-        return fn
+        return lambda: evaluate()[name]
 
-    # stage2_losses gives a term the variant or its weight switches off as the constant 0
-    trained = {"l_st": True, "l_ylambda": cfg.variant.ylambda and cfg.alpha > 0,
-               "l_cp": True, "l_lm": cfg.uses_lms}
-    fns = {name: term(name) for name, on in trained.items() if on}
-    return {**fns, "l2_combined": term("total")}
+    fns = {name: term(name) for name in evaluate() if name != "total"}
+    if total is not None:
+        fns[total] = term("total")
+    return fns
 
 
 def run_gradient_suite(seed: int = 0, step: float = 1e-5, max_coords_per_param: int = 4,
@@ -116,10 +102,12 @@ def run_gradient_suite(seed: int = 0, step: float = 1e-5, max_coords_per_param: 
         lam_x = cache.batch_matrix(batch)
         corrupted = corrupt_batch(batch, model.vocab_size, 0.5, frozen)
         noise = sample_gumbel(frozen, (cfg.max_len, batch.enc_ids.shape[0], model.vocab_size))
-        fns = stage1_loss_fns(model, batch, lam_x, corrupted, cfg.variant)
+        fns = term_fns(lambda: stage1_losses(model, batch, lam_x, cfg.variant.lxlambda,
+                                             corrupted))
         if cfg.variant.nsc:
-            fns.update(stage2_loss_fns(model, clf, lms, batch, lam_x, source, tau, noise,
-                                       cfg, lrp_cfg))
+            fns.update(term_fns(lambda: stage2_losses(model, clf, lms, batch, lam_x, source,
+                                                      tau, noise, cfg, lrp_cfg)[1],
+                                total="l2_combined"))
         for loss_name, fn in fns.items():
             per_param = results.setdefault(loss_name, {})
             for pname in sorted(model.params):

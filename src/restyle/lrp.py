@@ -165,11 +165,12 @@ def calibrate_eta(clf: TextCnnStyleClassifier, sentences, labels,
         for lo in range(0, len(idx), 64):
             chunk = [sentences[i] for i in idx[lo:lo + 64]]
             chunk_labels = np.array([labels[i] for i in idx[lo:lo + 64]])
-            batch = pack_batch(chunk, min_width=max(clf.filter_widths))
+            batch = pack_batch(chunk)
             rmap = propagate(clf, clf.forward_trace(batch.enc_ids, batch.lengths),
                              chunk_labels, stabilizer)
             raw = np.abs(rmap.r_embedding.values.sum(axis=-1))
-            raw[batch.token_mask == 0.0] = 0.0
+            # the map is wider than the batch when the classifier padded it
+            raw[np.arange(raw.shape[1])[None, :] >= batch.lengths[:, None]] = 0.0
             peaks.extend(raw.max(axis=1).tolist())
     anchor = float(np.quantile(peaks, quantile))
     if anchor <= 0:

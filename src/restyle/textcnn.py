@@ -89,8 +89,10 @@ class TextCnnStyleClassifier(Estimator):
     def _forward_from_emb(self, emb: Tensor, lengths: np.ndarray) -> ClassifierTrace:
         B, T, E = emb.shape
         if T < max(self.filter_widths):
-            raise ValueError(
-                f"classifier input must be padded to >= {max(self.filter_widths)} columns")
+            # append the zero rows a PAD token embeds to, so the widest filter fits
+            pad = constant(np.zeros((B, max(self.filter_widths) - T, E)))
+            emb = ad.concat([emb, pad], axis=1)
+            T = emb.shape[1]
         windows, argmaxes, pooled = {}, {}, []
         for w in self.filter_widths:
             P = T - w + 1
@@ -131,7 +133,7 @@ class TextCnnStyleClassifier(Estimator):
         corpus = LabeledCorpus(X, y.tolist())
         train, dev = train_dev_split(corpus, self.dev_fraction, self.seed)
         batcher = Batcher(train, self.batch_size, max_len=max(len(s) for s in X),
-                          seed=self.seed + 1, min_width=max(self.filter_widths))
+                          seed=self.seed + 1)
         trainable = [self.params_[k] for k in sorted(self.params_)]
         opt = ad.make_optimizer(self.optimizer, trainable, self.learning_rate, self.clip_norm)
         drop_rng = np.random.default_rng(self.seed + 7)
@@ -178,7 +180,7 @@ class TextCnnStyleClassifier(Estimator):
         with ad.no_grad():
             for lo in range(0, len(X), 256):
                 idx = order[lo:lo + 256]
-                batch = pack_batch([X[i] for i in idx], min_width=max(self.filter_widths))
+                batch = pack_batch([X[i] for i in idx])
                 # a temporary trace, freed before the next chunk's is built
                 out[idx] = ad.softmax(self.forward_trace(batch.enc_ids, batch.lengths)
                                       .logits).values
@@ -191,7 +193,6 @@ class TextCnnStyleClassifier(Estimator):
         y = np.asarray(y)
         return float((self.predict(X) == y).mean())
 
-    def classify_soft(self, rows: Tensor, lengths: np.ndarray) -> tuple[Tensor, Tensor]:
-        """(probabilities, logits) for a batch of soft sentences."""
-        trace = self.forward_trace_soft(rows, lengths)
-        return ad.softmax(trace.logits), trace.logits
+    def classify_soft(self, rows: Tensor, lengths: np.ndarray) -> Tensor:
+        """(B, 2) logits of a batch of soft sentences."""
+        return self.forward_trace_soft(rows, lengths).logits

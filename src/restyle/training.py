@@ -201,7 +201,7 @@ class LambdaTargetCache:
             self._compute(seqs, labels)
 
     def _compute(self, seqs, labels) -> np.ndarray:
-        batch = pack_batch(seqs, min_width=max(self.classifier.filter_widths))
+        batch = pack_batch(seqs)
         with ad.no_grad():
             wr = hard_word_relevance(self.classifier, batch.enc_ids, batch.lengths,
                                      labels, self.cfg.eta, self.cfg.epsilon,
@@ -243,18 +243,31 @@ def relevance_error(pred: ad.Tensor, target: ad.Tensor, mask: np.ndarray,
     return sq.sum(axis=1) * constant(1.0 / lengths)
 
 
-def stage1_losses(model: Seq2seqModel, batch, lam_x: np.ndarray,
-                  corrupted_enc_ids: np.ndarray | None = None):
-    """Stage-1 terms of one batch: reconstruction cross-entropy ``l_sr`` and the
-    relevance reprediction error ``l_xlambda`` against the (B, T) targets
-    ``lam_x``. The encoder reads ``corrupted_enc_ids`` when given."""
+def weighted_total(losses: dict, weights: dict) -> ad.Tensor:
+    """The terms of ``losses`` summed in order, each times its entry in
+    ``weights`` if it has one."""
+    total = None
+    for name, term in losses.items():
+        if name in weights:
+            term = weights[name] * term
+        total = term if total is None else total + term
+    return total
+
+
+def stage1_losses(model: Seq2seqModel, batch, lam_x: np.ndarray, lxlambda: bool,
+                  corrupted_enc_ids: np.ndarray | None = None) -> dict:
+    """The stage-1 terms one batch trains, and their sum ``total``: the
+    reconstruction cross-entropy ``l_sr`` and, when ``lxlambda``, the relevance
+    reprediction error ``l_xlambda`` against the (B, T) targets ``lam_x``. The
+    encoder reads ``corrupted_enc_ids`` when given."""
     logits, gates = model.teacher_forced_pass(batch, corrupted_enc_ids=corrupted_enc_ids)
     ce = ad.cross_entropy_with_indices(logits, batch.targets, batch.target_mask)
-    l_sr = ce.sum(axis=1).mean()
-    lam_hat = ad.narrow(gates, 1, 0, lam_x.shape[1])
-    l_xlambda = relevance_error(lam_hat, constant(lam_x), batch.token_mask,
-                                batch.lengths).mean()
-    return l_sr, l_xlambda
+    losses = {"l_sr": ce.sum(axis=1).mean()}
+    if lxlambda:
+        lam_hat = ad.narrow(gates, 1, 0, lam_x.shape[1])
+        losses["l_xlambda"] = relevance_error(lam_hat, constant(lam_x), batch.token_mask,
+                                              batch.lengths).mean()
+    return {**losses, "total": weighted_total(losses, {})}
 
 
 class Stage1Trainer:
@@ -280,15 +293,10 @@ class Stage1Trainer:
     def step(self, batch) -> LossBreakdown:
         corrupted = corrupt_batch(batch, self.model.vocab_size, self.cfg.replace_prob,
                                   self.rng)
-        l_sr, l_xlambda = stage1_losses(self.model, batch,
-                                        self.lam_cache.batch_matrix(batch), corrupted)
-        if self.cfg.lxlambda_off:
-            l_xlambda = constant(0.0)
-            total = l_sr
-        else:
-            total = l_sr + l_xlambda
-        ad.backward(total)
-        br = LossBreakdown(l_sr=l_sr.item(), l_xlambda=l_xlambda.item(), total=total.item())
+        losses = stage1_losses(self.model, batch, self.lam_cache.batch_matrix(batch),
+                               not self.cfg.lxlambda_off, corrupted)
+        ad.backward(losses["total"])
+        br = LossBreakdown(**{k: v.item() for k, v in losses.items()})
         br.grad_norm_preclip = self.optimizer.step()
         self.step_count += 1
         self.log.record(self.step_count, br)
@@ -345,15 +353,6 @@ class Stage1Trainer:
 # stage 2
 
 
-def pad_rows_to_width(rows3, lengths, min_width: int):
-    """Right-pad the soft row stack with zero rows so classifier filters fit."""
-    B, T, V = rows3.shape
-    if T >= min_width:
-        return rows3
-    pad = constant(np.zeros((B, min_width - T, V)))
-    return ad.concat([rows3, pad], axis=1)
-
-
 def stage2_losses(model: Seq2seqModel, classifier: TextCnnStyleClassifier, lms: dict,
                   batch, lam_x: np.ndarray, source_style: int, tau: float,
                   noise: np.ndarray | None, cfg: Stage2Config, lrp_cfg: LrpConfig):
@@ -362,14 +361,13 @@ def stage2_losses(model: Seq2seqModel, classifier: TextCnnStyleClassifier, lms: 
 
     ``lam_x`` holds the batch's (B, T) relevance targets and ``noise`` the
     (max_len, B, V) gumbel noise, or None. Returns ``(soft, losses)``, where
-    ``losses`` maps l_st, l_ylambda, l_cp, l_lm and total to scalar tensors,
-    or is None when every generation has length 0. A term its weight or the
-    ablation variant switches off is the constant 0.
+    ``losses`` maps each term the run trains to a scalar tensor, and ``total``
+    to ``l_st + alpha * l_ylambda + beta * l_cp + gamma * l_lm`` over those
+    terms; it is None when every generation has length 0. A term is left out
+    when its weight is 0, and ``l_ylambda`` and ``l_lm`` also under a variant
+    without them.
     """
     variant = cfg.variant
-    alpha = cfg.alpha if variant.ylambda else 0.0
-    gamma = cfg.gamma if cfg.uses_lms else 0.0
-
     target_style = 1 - source_style
     B = batch.enc_ids.shape[0]
     soft = model.generate_soft(batch.enc_ids, batch.lengths, target_style,
@@ -386,45 +384,40 @@ def stage2_losses(model: Seq2seqModel, classifier: TextCnnStyleClassifier, lms: 
     rmask = soft.length_mask()
 
     # transfer loss through the frozen classifier
-    rows_clf = pad_rows_to_width(rows3, soft.lengths, max(classifier.filter_widths))
-    _, logits = classifier.classify_soft(rows_clf, soft.lengths)
+    logits = classifier.classify_soft(rows3, soft.lengths)
     ce = ad.cross_entropy_with_indices(logits, np.full(B, target_style, dtype=np.int64))
-    l_st = (ce * vmask).sum() * (1.0 / n_valid)
+    losses = {"l_st": (ce * vmask).sum() * (1.0 / n_valid)}
 
     # soft-word relevance consistency
-    if alpha > 0:
-        wr = soft_word_relevance(classifier, rows_clf, soft.lengths, target_style,
+    if variant.ylambda and cfg.alpha > 0:
+        wr = soft_word_relevance(classifier, rows3, soft.lengths, target_style,
                                  lrp_cfg.eta, lrp_cfg.epsilon, lrp_cfg.stabilizer)
         per_sentence = relevance_error(gates, ad.narrow(wr.lam, 1, 0, T), rmask,
                                        np.maximum(soft.lengths, 1))
-        l_ylambda = (per_sentence * vmask).sum() * (1.0 / n_valid)
-    else:
-        l_ylambda = constant(0.0)
+        losses["l_ylambda"] = (per_sentence * vmask).sum() * (1.0 / n_valid)
 
     # relevance-weighted content anchor
-    x_emb = model.embed(batch.enc_ids)
-    if variant.lcp_prime:
-        x_w = constant(batch.token_mask[:, :, None])
-        y_w = constant(rmask[:, :, None])
-    else:
-        x_w = constant(((1.0 - np.abs(lam_x)) * batch.token_mask)[:, :, None])
-        y_w = (1.0 - ad.absolute(gates)).reshape(B, T, 1) * constant(rmask[:, :, None])
-    x_content = (x_emb * x_w).sum(axis=1)
-    y_emb = ad.matmul(rows3, model.params["emb"])
-    y_content = (y_emb * y_w).sum(axis=1)
-    diff = x_content - y_content
-    l_cp = ((diff * diff).sum(axis=1) * vmask).sum() * (1.0 / n_valid)
+    if cfg.beta > 0:
+        x_emb = model.embed(batch.enc_ids)
+        if variant.lcp_prime:
+            x_w = constant(batch.token_mask[:, :, None])
+            y_w = constant(rmask[:, :, None])
+        else:
+            x_w = constant(((1.0 - np.abs(lam_x)) * batch.token_mask)[:, :, None])
+            y_w = (1.0 - ad.absolute(gates)).reshape(B, T, 1) * constant(rmask[:, :, None])
+        x_content = (x_emb * x_w).sum(axis=1)
+        y_emb = ad.matmul(rows3, model.params["emb"])
+        y_content = (y_emb * y_w).sum(axis=1)
+        diff = x_content - y_content
+        losses["l_cp"] = ((diff * diff).sum(axis=1) * vmask).sum() * (1.0 / n_valid)
 
     # fluency against the frozen directional models
-    if gamma > 0:
-        l_lm = fluency_loss(lms[(target_style, "forward")], lms[(target_style, "backward")],
-                            soft, target_style)
-    else:
-        l_lm = constant(0.0)
+    if cfg.uses_lms:
+        losses["l_lm"] = fluency_loss(lms[(target_style, "forward")],
+                                      lms[(target_style, "backward")], soft, target_style)
 
-    total = l_st + alpha * l_ylambda + cfg.beta * l_cp + gamma * l_lm
-    return soft, {"l_st": l_st, "l_ylambda": l_ylambda, "l_cp": l_cp, "l_lm": l_lm,
-                  "total": total}
+    weights = {"l_ylambda": cfg.alpha, "l_cp": cfg.beta, "l_lm": cfg.gamma}
+    return soft, {**losses, "total": weighted_total(losses, weights)}
 
 
 class Stage2Trainer:

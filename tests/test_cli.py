@@ -625,7 +625,8 @@ class TestGradcheckCommand:
         terms = [t for t in ALL_TERMS if t not in UNTRAINED_TERMS[variant]]
         assert [line.split()[0] for line in lines[1:-1]] == terms
 
-    @pytest.mark.parametrize("weight,term", [("alpha", "l_ylambda"), ("gamma", "l_lm")])
+    @pytest.mark.parametrize("weight,term", [("alpha", "l_ylambda"), ("beta", "l_cp"),
+                                             ("gamma", "l_lm")])
     def test_a_zero_weight_term_is_not_reported(self, capsys, weight, term):
         rc = main(["--set", f"stage2.{weight}=0", "gradcheck", "--coords-per-param", "1"])
         lines = capsys.readouterr().out.splitlines()

@@ -106,6 +106,23 @@ class TestClassify:
         # one 256-sentence chunk's trace at a time, however many chunks
         assert peak(X) <= 1.2 * peak(X[:256])
 
+    def test_narrow_input_padded_by_the_classifier(self, small_classifier, vocab):
+        # inputs narrower than the widest filter give the values of the same
+        # inputs padded by the caller, on the hard and on the soft path
+        seqs = [[4], [5, 6], [7, 8, 9]]
+        narrow, wide = pack_batch(seqs), pack_batch(seqs, min_width=4)
+        assert narrow.enc_ids.shape[1] == 3
+
+        def traces(batch):
+            rows = constant(onehot_rows(batch.enc_ids, len(vocab)))
+            return (small_classifier.forward_trace(batch.enc_ids, batch.lengths),
+                    small_classifier.forward_trace_soft(rows, batch.lengths))
+
+        with ad.no_grad():
+            for got, want in zip(traces(narrow), traces(wide)):
+                np.testing.assert_array_equal(got.emb.values, want.emb.values)
+                np.testing.assert_array_equal(got.logits.values, want.logits.values)
+
     def test_short_input_pad_extended(self, small_classifier):
         proba = small_classifier.predict_proba([[4]])
         assert np.isfinite(proba).all()

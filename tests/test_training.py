@@ -6,7 +6,7 @@ from restyle import autodiff as ad
 from restyle import training
 from restyle.autodiff import backward, constant
 from restyle.data import EOS, LabeledCorpus, corrupt_batch, pack_batch
-from restyle.gradcheck import stage1_loss_fns, stage2_loss_fns
+from restyle.gradcheck import build_toy_system, term_fns
 from restyle.language_model import DirectionalLanguageModel
 from restyle.seq2seq import Seq2seqModel, sample_gumbel
 from restyle.training import (
@@ -18,9 +18,10 @@ from restyle.training import (
     Stage2Config,
     Stage2Trainer,
     TrainLog,
-    Variant,
+    VARIANTS,
     resolve_ablation,
     stage1_losses,
+    stage2_losses,
 )
 
 
@@ -83,13 +84,13 @@ class TestStage1:
             self, vocab, small_classifier, lam_cache, encoded_train):
         model = make_model(vocab)
         batch = pack_batch(encoded_train.sentences[:4], encoded_train.labels[:4])
-        l_sr, l_xlambda = stage1_losses(model, batch, lam_cache.batch_matrix(batch))
+        losses = stage1_losses(model, batch, lam_cache.batch_matrix(batch), True)
 
-        backward(l_sr)
+        backward(losses["l_sr"])
         head = {k: p for k, p in model.params.items() if k.startswith("head.")}
         assert grads_all_zero(head)
 
-        backward(l_xlambda)
+        backward(losses["l_xlambda"])
         assert not grads_all_zero(head)
 
     def test_oracle_injection_zeroes_relevance_loss(self, vocab, small_classifier,
@@ -99,7 +100,7 @@ class TestStage1:
         with ad.no_grad():
             _, gates = model.teacher_forced_pass(batch)
         lam_hat = gates.values[:, :batch.enc_ids.shape[1]]
-        assert stage1_losses(model, batch, lam_hat)[1].item() == 0.0
+        assert stage1_losses(model, batch, lam_hat, True)["l_xlambda"].item() == 0.0
 
     def test_deterministic_loss_sequence(self, vocab, small_classifier, lam_cache,
                                          encoded_train):
@@ -125,7 +126,8 @@ class TestStage1:
             for lo in range(0, len(corpus), 64):
                 batch = pack_batch(corpus.sentences[lo:lo + 64],
                                    labels=corpus.labels[lo:lo + 64])
-                l_xlambda = stage1_losses(model, batch, lam_cache.batch_matrix(batch))[1]
+                l_xlambda = stage1_losses(model, batch, lam_cache.batch_matrix(batch),
+                                          True)["l_xlambda"]
                 weighted += l_xlambda.item() * len(batch.lengths)
                 n += len(batch.lengths)
         assert mse > 0
@@ -149,9 +151,9 @@ class TestStage1Graph:
         model = Seq2seqModel(vocab_size=30, seed=0)
         batch = pack_batch([list(range(4, 14)), list(range(5, 15))])
         lam_x = np.zeros(batch.enc_ids.shape)
-        l_sr, l_xlambda = training.stage1_losses(model, batch, lam_x)
+        losses = training.stage1_losses(model, batch, lam_x, True)
         assert batch.enc_ids.shape[1] == 10
-        assert graph_nodes(l_sr + l_xlambda) <= 250
+        assert graph_nodes(losses["total"]) <= 250
 
 
 class TestStage2:
@@ -242,8 +244,8 @@ class TestGradcheckRunsTheTrainedLosses:
         # the trainer's first draw from its generator corrupts this batch
         corrupted = corrupt_batch(batch, model.vocab_size, cfg.replace_prob,
                                   np.random.default_rng(cfg.seed))
-        fns = stage1_loss_fns(model, batch, lam_cache.batch_matrix(batch), corrupted,
-                              Variant())
+        lam_x = lam_cache.batch_matrix(batch)
+        fns = term_fns(lambda: stage1_losses(model, batch, lam_x, True, corrupted))
         expected = {name: fn().item() for name, fn in fns.items()}
         br = trainer.step(batch)
         assert (br.l_sr, br.l_xlambda) == (expected["l_sr"], expected["l_xlambda"])
@@ -259,9 +261,10 @@ class TestGradcheckRunsTheTrainedLosses:
         noise = sample_gumbel(np.random.default_rng(5), (cfg.max_len, 4, model.vocab_size))
         noise[0, 2, EOS] = 1e3   # row 2 emits EOS first: a generation of length 0
         tau = 0.3
-        fns = stage2_loss_fns(model, small_classifier, trainer.lms, batch,
-                              lam_cache.batch_matrix(batch), 1, tau, noise, cfg,
-                              trainer.lrp_cfg)
+        lam_x = lam_cache.batch_matrix(batch)
+        fns = term_fns(lambda: stage2_losses(model, small_classifier, trainer.lms, batch,
+                                             lam_x, 1, tau, noise, cfg, trainer.lrp_cfg)[1],
+                       total="l2_combined")
         expected = {name: fn().item() for name, fn in fns.items()}
 
         monkeypatch.setattr(training, "sample_gumbel", lambda rng, shape: noise)
@@ -270,6 +273,66 @@ class TestGradcheckRunsTheTrainedLosses:
         assert (br.l_st, br.l_ylambda, br.l_cp, br.l_lm, br.total) == (
             expected["l_st"], expected["l_ylambda"], expected["l_cp"], expected["l_lm"],
             expected["l2_combined"])
+
+
+class TestLossDicts:
+    """Each loss function returns exactly the terms the run trains plus their
+    weighted ``total``; a trainer logs an absent term as 0.0."""
+
+    STAGE2_VARIANTS = [name for name, v in VARIANTS.items() if v.nsc]
+
+    @pytest.mark.parametrize("lxlambda", [True, False])
+    def test_stage1_terms(self, lxlambda):
+        model, clf, _, batches, cache, _ = build_toy_system(0)
+        batch = batches[0]
+        cfg = Stage1Config(replace_prob=0.5, lxlambda_off=not lxlambda, seed=3)
+        corrupted = corrupt_batch(batch, model.vocab_size, cfg.replace_prob,
+                                  np.random.default_rng(cfg.seed))
+        losses = stage1_losses(model, batch, cache.batch_matrix(batch), lxlambda, corrupted)
+        assert list(losses) == (["l_sr", "l_xlambda", "total"] if lxlambda
+                                else ["l_sr", "total"])
+        values = {k: v.item() for k, v in losses.items()}
+        expected = values["l_sr"] + values["l_xlambda"] if lxlambda else values["l_sr"]
+        assert values["total"] == expected
+
+        trainer = Stage1Trainer(model, clf, cache, cfg, LabeledCorpus([], []))
+        trainer.step(batch)
+        row = trainer.log.rows[-1]
+        for name in ("l_sr", "l_xlambda", "total"):
+            assert row[name] == values.get(name, 0.0)
+
+    @pytest.mark.parametrize("weights", [{}, {"alpha": 0.0}, {"beta": 0.0}, {"gamma": 0.0}],
+                             ids=["default", "alpha0", "beta0", "gamma0"])
+    @pytest.mark.parametrize("variant", STAGE2_VARIANTS)
+    def test_stage2_terms(self, variant, weights):
+        model, clf, lms, batches, cache, lrp_cfg = build_toy_system(0)
+        batch = batches[1]
+        cfg = Stage2Config(ablation=variant, max_len=5, gumbel_noise=False, batch_size=2,
+                           **weights)
+        v = cfg.variant
+        trained = {"l_st"}
+        if v.ylambda and cfg.alpha > 0:
+            trained.add("l_ylambda")
+        if cfg.beta > 0:
+            trained.add("l_cp")
+        if v.lm and cfg.gamma > 0:
+            trained.add("l_lm")
+        _, losses = stage2_losses(model, clf, lms, batch, cache.batch_matrix(batch), 1, 0.6,
+                                  None, cfg, lrp_cfg)
+        assert set(losses) == trained | {"total"}
+        values = {k: t.item() for k, t in losses.items()}
+        expected = values["l_st"]
+        for name, weight in (("l_ylambda", cfg.alpha), ("l_cp", cfg.beta),
+                             ("l_lm", cfg.gamma)):
+            if name in values:
+                expected = expected + weight * values[name]
+        assert values["total"] == expected
+
+        trainer = Stage2Trainer(model, clf, lms, cache, cfg, lrp_cfg, LabeledCorpus([], []))
+        trainer.step(batch, source_style=1, tau=0.6)
+        row = trainer.log.rows[-1]
+        for name in ("l_st", "l_ylambda", "l_cp", "l_lm", "total"):
+            assert row[name] == values.get(name, 0.0)
 
 
 class TestTrainLog:

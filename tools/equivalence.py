@@ -31,8 +31,12 @@ records:
   ``train-stage2`` run through ``restyle.cli.main`` on a small generated
   corpus (the seed is the corpus seed and ``run.root_seed``) with a small
   config, then ``train-stage2`` again under each ``stage2.ablation`` of
-  ``CLI_VARIANTS``; the ``params_hash`` of all twelve checkpoints, the ``total``
-  column of every ``train_log`` CSV and a hash of the corpus files.
+  ``CLI_VARIANTS``, and ``train-stage1`` and ``train-stage2`` under
+  ``no-lxlambda`` in a second run directory that starts from the first one's
+  vocabulary, classifier and LMs; the ``params_hash`` of all fourteen
+  checkpoints, the ``total`` column of every ``train_log`` CSV, a hash of the
+  corpus files, and the stdout of ``restyle gradcheck --coords-per-param 1``
+  under every variant of ``training.VARIANTS``.
 
 The result holds, per seed, both records and whether the loss totals and
 hashes are identical, each step's relative gap in the loss total and in each
@@ -48,12 +52,15 @@ before an optimizer amplifies it from step to step.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import json
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -253,29 +260,51 @@ def worker_cli(checkout: Path, seed: int, work: Path, out: Path) -> None:
     from restyle.checkpoint import load_checkpoint, params_hash
     from restyle.cli import main
     from restyle.synthetic import generate_marker_corpus, write_corpus_files
+    from restyle.training import VARIANTS
 
     corpus = work / "corpus"
     write_corpus_files(generate_marker_corpus(n_train=400, n_dev=80, n_test=40, seed=seed),
                        corpus)
     config = work / "config.ini"
     config.write_text(CLI_CONFIG.format(seed=seed, corpus=corpus))
-    run_dir = work / "run"
-    commands = [[c] for c in ("train-classifier", "train-lm", "train-stage1", "train-stage2")]
-    commands += [["--set", f"stage2.ablation={v}", "train-stage2"] for v in CLI_VARIANTS]
-    for command in commands:
-        if main(["--config", str(config), "--run-dir", str(run_dir), *command]) != 0:
+    run_dir, no_lx_dir = work / "run", work / "run-no-lxlambda"
+
+    def cli(run, *command) -> str:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["--config", str(config), "--run-dir", str(run), *command])
+        if code != 0:
             raise SystemExit(f"{' '.join(command)} failed in {checkout}")
+        return stdout.getvalue()
+
+    for command in ("train-classifier", "train-lm", "train-stage1", "train-stage2"):
+        cli(run_dir, command)
+    for variant in CLI_VARIANTS:
+        cli(run_dir, "--set", f"stage2.ablation={variant}", "train-stage2")
+    no_lx_dir.mkdir()
+    for path in [run_dir / "vocab.txt", run_dir / "classifier.ckpt", *run_dir.glob("lm.*.ckpt")]:
+        shutil.copy(path, no_lx_dir)
+    for command in ("train-stage1", "train-stage2"):
+        cli(no_lx_dir, "--set", "stage2.ablation=no-lxlambda", command)
+    gradcheck = {variant: cli(run_dir, "--set", f"stage2.ablation={variant}", "gradcheck",
+                              "--coords-per-param", "1")
+                 for variant in VARIANTS}
+
     digest = hashlib.sha256()
     for path in sorted(corpus.iterdir()):
         digest.update(path.name.encode() + path.read_bytes())
-    record = {"corpus_hash": digest.hexdigest(), "params_hash": {}, "loss_totals": {}}
-    for path in sorted(run_dir.glob("*.ckpt")):
-        arrays = load_checkpoint(path)[1]
-        record["params_hash"][path.name] = params_hash(
-            {k: parameter(v) for k, v in arrays.items()})
-    for path in sorted(run_dir.glob("train_log.*.csv")):
-        with open(path, newline="") as f:
-            record["loss_totals"][path.name] = [float(row["total"]) for row in csv.DictReader(f)]
+    record = {"corpus_hash": digest.hexdigest(), "params_hash": {}, "loss_totals": {},
+              "gradcheck": gradcheck}
+    for prefix, run, pattern in (("", run_dir, "*.ckpt"),
+                                 ("no-lxlambda/", no_lx_dir, "stage*.ckpt")):
+        for path in sorted(run.glob(pattern)):
+            arrays = load_checkpoint(path)[1]
+            record["params_hash"][prefix + path.name] = params_hash(
+                {k: parameter(v) for k, v in arrays.items()})
+        for path in sorted(run.glob("train_log.*.csv")):
+            with open(path, newline="") as f:
+                record["loss_totals"][prefix + path.name] = [float(row["total"])
+                                                             for row in csv.DictReader(f)]
     out.write_text(json.dumps(record))
 
 
@@ -295,7 +324,7 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
         _run("--worker", "record", "--checkout", checkout, "--seed", seed, "--start", start,
              "--steps", steps, "--out", out)
         rec[tag] = json.loads(out.read_text())
-        work = tmp / f"cli-{tag}"
+        work = tmp / f"cli-{tag}-{seed}"   # a fresh run directory, vocabulary included
         _run("--worker", "cli", "--checkout", checkout, "--seed", seed, "--start", work,
              "--out", tmp / f"cli-{tag}.json")
         rec[tag]["cli"] = json.loads((tmp / f"cli-{tag}.json").read_text())
