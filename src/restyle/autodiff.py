@@ -392,9 +392,10 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / float(n))
 
 
-def tmax(a: Tensor, axis: int) -> Tensor:
-    """Max along one axis; gradient routes to the (first) argmax position."""
-    idx = np.argmax(a.values, axis=axis)
+def tmax(a: Tensor, axis: int, argmax: np.ndarray | None = None) -> Tensor:
+    """Max along one axis; gradient routes to the (first) argmax position.
+    ``argmax`` is ``np.argmax(a.values, axis)`` when the caller already has it."""
+    idx = np.argmax(a.values, axis=axis) if argmax is None else argmax
     out = np.take_along_axis(a.values, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
 
     def bwd(g):
@@ -516,6 +517,32 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
             np.add.at(table.grad, ids.ravel(), g.reshape(-1, table.shape[-1]))
 
     return _node(out, (table,), bwd)
+
+
+def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """The rows ``rows`` of ``a`` along its first axis; ``rows`` are distinct."""
+    out = a.values[rows]
+
+    def bwd(g):
+        if a.requires_grad:
+            a.grad[rows] += g
+
+    return _node(out, (a,), bwd)
+
+
+def place_rows(a: Tensor, rows: np.ndarray, width: int) -> Tensor:
+    """A (width, ...) tensor holding ``a``'s rows at the distinct ``rows`` and
+    zero rows elsewhere; ``a`` itself when it already has every row."""
+    if len(rows) == width:
+        return a
+    out = np.zeros((width, *a.shape[1:]))
+    out[rows] = a.values
+
+    def bwd(g):
+        if a.requires_grad:
+            a.grad += g[rows]
+
+    return _node(out, (a,), bwd)
 
 
 def take_along_last(a: Tensor, ids: np.ndarray) -> Tensor:

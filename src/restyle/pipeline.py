@@ -151,16 +151,21 @@ def train_stage2(cfg: ExperimentConfig, model: Seq2seqModel, clf: TextCnnStyleCl
 
 def transfer_sentences(model: Seq2seqModel, id_seqs, target_style: int,
                        max_len: int = 16, gate_override=None, styled: bool = True,
-                       batch_size: int = 64):
-    """Greedy transfer of encoded sentences; returns (token lists, gate rows)."""
-    outputs, gate_rows = [], []
+                       batch_size: int = 128):
+    """Greedy transfer of encoded sentences; returns (token lists, gate rows)
+    in input order. Batches are taken in length order, so each is padded only
+    to its own longest source, and its outputs, whose lengths follow their
+    sources', end at similar steps."""
+    outputs, gate_rows = [None] * len(id_seqs), [None] * len(id_seqs)
+    order = np.argsort([len(s) for s in id_seqs], kind="stable")
     for lo in range(0, len(id_seqs), batch_size):
-        batch = pack_batch(id_seqs[lo:lo + batch_size])
+        idx = order[lo:lo + batch_size]
+        batch = pack_batch([id_seqs[i] for i in idx])
         toks, gates = model.generate_greedy(batch.enc_ids, batch.lengths,
                                             target_style=target_style, styled=styled,
                                             max_len=max_len, gate_override=gate_override)
-        outputs.extend(toks)
-        gate_rows.extend(gates)
+        for i, out, row in zip(idx, toks, gates):
+            outputs[i], gate_rows[i] = out, row
     return outputs, gate_rows
 
 

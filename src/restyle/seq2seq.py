@@ -14,7 +14,12 @@ layer starts at zero, so styled decoding initially reproduces basic decoding
 exactly. Free-running decoding is one loop with two emission rules: greedy
 emits the argmax and feeds back its row of the embedding table, soft emits
 softmax((logits + g) / tau) and feeds back the expected embedding, so a
-one-hot soft row feeds what greedy feeds, PAD included.
+one-hot soft row feeds what greedy feeds, PAD included. The loop stops
+stepping a sentence once it has emitted EOS: each step runs only the open
+rows, so a batch's cost follows each sentence's own length rather than its
+longest one's. Greedy writes each step's tokens and gates at the open rows;
+soft generation places each step's rows back at full width, with zero rows
+for the finished sentences.
 """
 
 from __future__ import annotations
@@ -48,6 +53,11 @@ class EncoderState:
     score_bias: np.ndarray    # (B, 1, T) additive attention mask: 0 on real tokens
     score_proj: Tensor        # (B, T, A) cached W_e h^e_i
 
+    def take(self, keep: np.ndarray) -> EncoderState:
+        """The state of the sentences ``keep`` alone."""
+        return EncoderState(ad.take_rows(self.states, keep), ad.take_rows(self.final, keep),
+                            self.score_bias[keep], ad.take_rows(self.score_proj, keep))
+
 
 @dataclass
 class DecoderStep:
@@ -59,7 +69,8 @@ class DecoderStep:
 
 @dataclass
 class SoftSentence:
-    """Differentiable generated sentence: one probability row per step."""
+    """Differentiable generated sentence: one probability row per step, and a
+    zero row at each step after the sentence's EOS step."""
 
     rows: list                # step-wise gumbel-softmax rows, each (B, V)
     dists: list               # step-wise model distributions softmax(logits), each (B, V)
@@ -276,33 +287,42 @@ class Seq2seqModel(ParamMixin):
                   style_ids: np.ndarray | None, gate_override: float | None,
                   emit) -> np.ndarray:
         """The decoder loop of both generators, until every row has emitted
-        EOS. ``emit(j, step, open_rows)`` keeps step j's output and returns the
-        emitted ids and a function for the next input, called only if a step
-        follows. Returns each row's first EOS step, ``max_len`` if none."""
+        EOS. A row that has emitted EOS is not stepped again: after such a
+        step the loop keeps only the open rows of the decoder state, the
+        encoder state, the next input and the style ids. ``emit(j, step,
+        stepped)`` keeps step j's output for the original rows ``stepped``
+        (ascending) and returns their emitted ids and a function for their
+        next input, called only if a step follows. Returns each row's first
+        EOS step, ``max_len`` if none."""
         B = ids.shape[0]
         enc = self.encode(ids, lengths)
         weights = self.decoder_input_weights()
         h = enc.final
         x = self.embed(np.full(B, BOS, dtype=np.int64))
         realized = np.full(B, max_len, dtype=np.int64)
-        open_rows = np.ones(B, dtype=bool)
+        stepped = np.arange(B)
         for j in range(max_len):
             step = self.decode_step(x, h, enc, weights, style_ids, gate_override)
-            h = step.revised
-            emitted, next_input = emit(j, step, open_rows)
-            hit_eos = open_rows & (emitted == EOS)
-            realized[hit_eos] = j
-            open_rows &= ~hit_eos
-            if j + 1 == max_len or not open_rows.any():
+            emitted, next_input = emit(j, step, stepped)
+            ended = emitted == EOS
+            realized[stepped[ended]] = j
+            if j + 1 == max_len or ended.all():
                 break
-            x = next_input()
+            h, x = step.revised, next_input()
+            if ended.any():
+                keep = np.flatnonzero(~ended)
+                stepped = stepped[keep]
+                h, x, enc = ad.take_rows(h, keep), ad.take_rows(x, keep), enc.take(keep)
+                if style_ids is not None:
+                    style_ids = style_ids[keep]
         return realized
 
     def generate_greedy(self, ids: np.ndarray, lengths: np.ndarray,
                         target_style: int | np.ndarray | None = None,
                         styled: bool = True, max_len: int = 16,
                         gate_override: float | None = None):
-        """Argmax decoding; returns (token lists without EOS, gate matrix)."""
+        """Argmax decoding; returns (token lists without EOS, gate matrix).
+        A row's gates are 0 after its EOS step."""
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         B = ids.shape[0]
@@ -310,10 +330,10 @@ class Seq2seqModel(ParamMixin):
         tokens = np.full((B, max_len), PAD, dtype=np.int64)
         gates = np.zeros((B, max_len))
 
-        def argmax(j, step, open_rows):
-            nxt = np.where(open_rows, step.logits.values.argmax(axis=1), EOS)
-            tokens[:, j] = nxt
-            gates[:, j] = step.applied_gate.values
+        def argmax(j, step, stepped):
+            nxt = step.logits.values.argmax(axis=1)
+            tokens[stepped, j] = nxt
+            gates[stepped, j] = step.applied_gate.values
             return nxt, lambda: ad.gather_rows(self.params["emb"], nxt)
 
         with ad.no_grad():
@@ -329,23 +349,25 @@ class Seq2seqModel(ParamMixin):
         Each step emits softmax((logits + g) / tau); the row's expected
         embedding feeds the next step. ``gumbel_noise`` of shape
         (max_len, B, V) enables stochastic relaxation; None decodes with the
-        temperature alone.
+        temperature alone. A sentence's rows, distributions and gates after
+        its EOS step are zero rows.
         """
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         if tau <= 0:
             raise ValueError(f"tau must be positive, got {tau}")
-        style_ids = target_style_ids(target_style, ids.shape[0])
+        B = ids.shape[0]
+        style_ids = target_style_ids(target_style, B)
         rows, dists, gates = [], [], []
 
-        def gumbel_softmax(j, step, open_rows):
+        def gumbel_softmax(j, step, stepped):
             noisy = step.logits
             if gumbel_noise is not None:
-                noisy = noisy + constant(gumbel_noise[j])
+                noisy = noisy + constant(gumbel_noise[j, stepped])
             row = ad.softmax(noisy * (1.0 / tau), axis=-1)
-            rows.append(row)
-            dists.append(ad.softmax(step.logits, axis=-1))
-            gates.append(step.gate)
+            rows.append(ad.place_rows(row, stepped, B))
+            dists.append(ad.place_rows(ad.softmax(step.logits, axis=-1), stepped, B))
+            gates.append(ad.place_rows(step.gate, stepped, B))
             return row.values.argmax(axis=1), lambda: ad.matmul(row, self.params["emb"])
 
         realized = self._free_run(ids, lengths, max_len, style_ids, gate_override,

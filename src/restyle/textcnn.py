@@ -104,7 +104,7 @@ class TextCnnStyleClassifier(Estimator):
             valid = (positions <= np.maximum(lengths, w)[:, None] - w).astype(float)
             masked = act + constant((valid[:, :, None] - 1.0) * ad.MASK_BIG)
             argmaxes[w] = np.argmax(masked.values, axis=1)
-            pooled.append(ad.tmax(masked, axis=1))
+            pooled.append(ad.tmax(masked, axis=1, argmax=argmaxes[w]))
             windows[w] = win
         feats = ad.concat(pooled, axis=1)
         logits = ad.matmul(feats, self.params_["out.w"]) + self.params_["out.b"]

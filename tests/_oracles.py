@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 
 from restyle import autodiff as ad
+from restyle.data import EOS, PAD
 from restyle.synthetic import MARKERS
 
 
@@ -54,6 +55,18 @@ def composed_gru(gi, h, u, bh):
     r = ad.sigmoid(ad.narrow(gi, 1, H, H) + ad.narrow(gh, 1, H, H))
     n = ad.tanh(ad.narrow(gi, 1, 2 * H, H) + r * ad.narrow(gh, 1, 2 * H, H))
     return (1.0 - z) * n + z * h
+
+
+def randomize(model, seed, pad_row_zero=False):
+    """Fixed random weights in [-3, 3] for a sequence model, with EOS favoured
+    by the output bias, so that its outputs end at different steps."""
+    rng = np.random.default_rng(seed)
+    for p in model.params.values():
+        p.values[...] = rng.uniform(-3.0, 3.0, size=p.shape)
+    if pad_row_zero:
+        model.params["emb"].values[PAD] = 0.0
+    model.params["out.b"].values[EOS] += 1.0
+    return model
 
 
 def graph(loss) -> list:

@@ -21,10 +21,12 @@ from restyle.autodiff import (
     log_softmax,
     matmul,
     parameter,
+    place_rows,
     sigmoid,
     softmax,
     swap_last_axes,
     take_along_last,
+    take_rows,
     tanh,
     tmax,
     tmean,
@@ -169,6 +171,26 @@ class TestIndexingOps:
         expected[0, 2] = 1.0
         expected[1, 0] = 1.0
         np.testing.assert_array_equal(logits.grad, expected)
+
+    def test_take_rows_and_place_rows_route_gradients(self):
+        rng = np.random.default_rng(3)
+        x = parameter(rand(rng, 5, 2, 3))
+        w = constant(rand(rng, 5, 2, 3))
+        rows = np.array([0, 2, 3])
+        taken = take_rows(x, rows)
+        np.testing.assert_array_equal(taken.values, x.values[rows])
+        placed = place_rows(taken, rows, 5)
+        np.testing.assert_array_equal(placed.values[rows], x.values[rows])
+        assert (placed.values[[1, 4]] == 0.0).all()
+        assert place_rows(x, np.arange(5), 5) is x
+        backward(tsum(placed * w))
+        expected = w.values.copy()
+        expected[[1, 4]] = 0.0
+        np.testing.assert_array_equal(x.grad, expected)
+        x.zero_grad()
+        err = finite_difference_check(
+            lambda: tsum(place_rows(tanh(take_rows(x, rows)), rows[::-1], 4) * w.values[:4]), [x])
+        assert err < 1e-7
 
     def test_unfold_fold_are_transposes(self):
         rng = np.random.default_rng(4)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from _oracles import randomize
 
 import restyle.pipeline as pipeline_module
 from restyle.checkpoint import params_hash
 from restyle.config import load_config
-from restyle.data import EOS, PAD, Vocabulary, build_vocab
+from restyle.data import PAD, Vocabulary, build_vocab
 from restyle.pipeline import (
     StyleTransferPipeline,
     encode_corpus,
@@ -27,6 +28,11 @@ SMALL_RUN = {
     "stage1.epochs": "1", "stage1.optimizer": "adam", "stage1.learning_rate": "2e-3",
     "stage2.optimizer": "adam", "stage2.learning_rate": "1e-2", "stage2.clip_norm": "1.0",
 }
+
+
+def random_tiny_model(seed):
+    return randomize(Seq2seqModel(vocab_size=12, embed_dim=6, hidden_dim=5, attn_dim=5,
+                                  head_dim=4, style_dim=3, mlp_dim=4, seed=0), seed)
 
 
 @pytest.fixture(scope="module")
@@ -85,12 +91,7 @@ class TestStyleTransferPipeline:
     def test_relevance_pairs_each_decoded_word_with_its_gate(self):
         # the fixed seed-13 tiny model of test_soft_lengths_equal_greedy_lengths_at_low_
         # temperature emits PAD inside its outputs, which decoding drops
-        model = Seq2seqModel(vocab_size=12, embed_dim=6, hidden_dim=5, attn_dim=5,
-                             head_dim=4, style_dim=3, mlp_dim=4, seed=0)
-        rng = np.random.default_rng(13)
-        for p in model.params.values():
-            p.values[...] = rng.uniform(-3.0, 3.0, size=p.shape)
-        model.params["out.b"].values[EOS] += 1.0
+        model = random_tiny_model(13)
         pipe = StyleTransferPipeline(load_config(None, {"data.max_len": "8"}))
         pipe.vocab_, pipe.model_ = Vocabulary([f"w{i}" for i in range(4, 12)]), model
         X = [" ".join(f"w{i}" for i in ids) for ids in
@@ -151,6 +152,31 @@ class TestAblationVariants:
         train_stage1(cfg, len(vocab), train_classifier(cfg, len(vocab), train), train, log=log)
         assert log.rows and all(row["l_xlambda"] == 0.0 for row in log.rows)
         assert all(row["total"] == row["l_sr"] > 0.0 for row in log.rows)
+
+
+class TestTransferSentences:
+    def test_length_ordered_batches_decode_as_each_sentence_alone(self):
+        model = random_tiny_model(13)
+        rng = np.random.default_rng(8)
+        id_seqs = [rng.integers(4, 12, size=n).tolist() for n in (4, 3, 2, 5, 1, 3, 6, 2, 4)]
+        widths = []
+        generate = model.generate_greedy
+
+        def spy(ids, lengths, **kwargs):
+            widths.append(ids.shape[1])
+            return generate(ids, lengths, **kwargs)
+
+        model.generate_greedy = spy
+        tokens, gates = transfer_sentences(model, id_seqs, 1, max_len=8, batch_size=2)
+        assert widths == sorted(widths) and len(widths) == 5
+        del model.generate_greedy
+        assert len({len(t) for t in tokens}) >= 3
+        for seq, out, row in zip(id_seqs, tokens, gates, strict=True):
+            alone_tokens, alone_gates = transfer_sentences(model, [seq], 1, max_len=8)
+            assert out == alone_tokens[0]
+            decoded = min(len(out) + 1, 8)
+            np.testing.assert_allclose(row[:decoded], alone_gates[0][:decoded], rtol=0,
+                                       atol=1e-12)
 
 
 class TestEvaluateTransfer:

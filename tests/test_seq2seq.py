@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from _oracles import graph
+from _oracles import graph, randomize
 
 from restyle import autodiff as ad
 from restyle.autodiff import constant, finite_difference_check
@@ -18,6 +18,11 @@ def tiny_model():
 
 def tiny_batch():
     return pack_batch([[4, 5, 6, 7], [8, 9, 10]])
+
+
+# sources whose outputs have distinct lengths under the seed-13 weights of
+# ``randomize``: [6, 4, 8, 2, 8, 3] at max_len 8
+SOURCES = [[4, 5, 6, 7], [8, 9, 10], [5, 4], [11, 6, 9, 7, 4], [7], [9, 9, 10]]
 
 
 class TestEncoder:
@@ -262,15 +267,10 @@ class TestGenerate:
         # emission rules emit the same ids, so the one stop rule gives one length.
         # The second keeps a nonzero emb[PAD], as stage 2 leaves it, and emits
         # PAD: greedy must feed back that row, as a one-hot soft row does
-        batch = pack_batch([[4, 5, 6, 7], [8, 9, 10], [5, 4], [11, 6, 9, 7, 4], [7], [9, 9, 10]])
+        batch = pack_batch(SOURCES)
         for seed, pad_row_zero, lengths in ((3, True, [0, 4, 3, 0, 4, 8]),
                                             (13, False, [6, 4, 8, 2, 8, 3])):
-            rng = np.random.default_rng(seed)
-            for p in tiny_model.params.values():
-                p.values[...] = rng.uniform(-3.0, 3.0, size=p.shape)
-            if pad_row_zero:
-                tiny_model.params["emb"].values[PAD] = 0.0
-            tiny_model.params["out.b"].values[EOS] += 1.0
+            randomize(tiny_model, seed, pad_row_zero)
             tokens, _ = tiny_model.generate_greedy(batch.enc_ids, batch.lengths, 1, max_len=8)
             if not pad_row_zero:
                 assert np.abs(tiny_model.params["emb"].values[PAD]).min() > 0.0
@@ -282,3 +282,94 @@ class TestGenerate:
             up_to_eos = np.arange(rows.shape[1])[None, :] <= soft.lengths[:, None]
             assert (1.0 - rows.max(axis=2))[up_to_eos].max() < 1e-9
             assert soft.lengths.tolist() == [len(t) for t in tokens] == lengths
+
+
+class TestOpenRows:
+    """A row that has emitted EOS is not stepped again."""
+
+    LENGTHS = [6, 4, 8, 2, 8, 3]
+
+    @pytest.mark.parametrize("mode", ["greedy", "soft"])
+    def test_each_step_runs_only_the_open_rows(self, tiny_model, monkeypatch, mode):
+        randomize(tiny_model, 13)
+        batch = pack_batch(SOURCES)
+        seen = []
+        decode_step = tiny_model.decode_step
+
+        def spy(x_emb, h_prev, enc, weights, style_ids=None, gate_override=None):
+            # each stepped row's source length, read from its attention mask
+            sources = (enc.score_bias[:, 0, :] == 0).sum(axis=1).tolist()
+            widths = {x_emb.shape[0], h_prev.shape[0], enc.states.shape[0],
+                      enc.score_proj.shape[0], len(style_ids)}
+            seen.append((widths, sources))
+            return decode_step(x_emb, h_prev, enc, weights, style_ids, gate_override)
+
+        monkeypatch.setattr(tiny_model, "decode_step", spy)
+        if mode == "greedy":
+            tokens, _ = tiny_model.generate_greedy(batch.enc_ids, batch.lengths, 1, max_len=8)
+            lengths = [len(t) for t in tokens]
+        else:
+            soft = tiny_model.generate_soft(batch.enc_ids, batch.lengths, 1, max_len=8,
+                                            tau=1e-3)
+            lengths = soft.lengths.tolist()
+        assert lengths == self.LENGTHS
+        expected = []
+        for j in range(8):
+            open_sources = [len(s) for s, n in zip(SOURCES, lengths) if n >= j]
+            expected.append(({len(open_sources)}, open_sources))
+        assert seen == expected
+
+    def test_soft_rows_after_eos_are_zero_and_the_rest_decode_alone(self, tiny_model):
+        randomize(tiny_model, 13)
+        batch, T = pack_batch(SOURCES), 8
+        noise = sample_gumbel(np.random.default_rng(5), (T, len(SOURCES), 12))
+        with ad.no_grad():
+            soft = tiny_model.generate_soft(batch.enc_ids, batch.lengths, 1, max_len=T,
+                                            tau=0.5, gumbel_noise=noise)
+        lengths = soft.lengths.tolist()
+        assert len(set(lengths)) >= 3 and min(lengths) + 1 < len(soft.rows)
+        batched = (soft.stacked_rows().values, soft.stacked_dists().values,
+                   soft.stacked_gates().values)
+        for b, src in enumerate(SOURCES):
+            one = pack_batch([src])
+            with ad.no_grad():
+                alone = tiny_model.generate_soft(one.enc_ids, one.lengths, 1, max_len=T,
+                                                 tau=0.5, gumbel_noise=noise[:, [b]])
+            assert alone.lengths.tolist() == [lengths[b]]
+            kept = min(lengths[b] + 1, T)
+            for full, single in zip(batched, (alone.stacked_rows().values,
+                                              alone.stacked_dists().values,
+                                              alone.stacked_gates().values)):
+                np.testing.assert_allclose(full[b, :kept], single[0, :kept], rtol=0, atol=1e-12)
+                assert (full[b, kept:] == 0.0).all()
+
+    def test_soft_gradients_through_finished_rows_match_fd(self, tiny_model):
+        # rows end at different steps, so the loss reaches the parameters
+        # through the narrowed states and the rows placed back at full width
+        randomize(tiny_model, 13)
+        for p in tiny_model.params.values():
+            p.values *= 0.3
+        tiny_model.params["out.b"].values[EOS] += 1.5
+        batch = pack_batch(SOURCES)
+        noise = sample_gumbel(np.random.default_rng(5), (8, len(SOURCES), 12))
+        weights = np.random.default_rng(6).uniform(-1.0, 1.0, (len(SOURCES), 8, 12))
+
+        def generate():
+            return tiny_model.generate_soft(batch.enc_ids, batch.lengths, 1, max_len=8,
+                                            tau=0.5, gumbel_noise=noise)
+
+        lengths = generate().lengths
+        assert len(set(lengths.tolist())) >= 3 and lengths.max() == 8
+
+        def loss_fn():
+            soft = generate()
+            T = len(soft.rows)
+            w = constant(weights[:, :T])
+            return ((soft.stacked_rows() + soft.stacked_dists()) * w).sum() \
+                + soft.stacked_gates().sum()
+
+        params = [tiny_model.params[k] for k in ("emb", "enc.u", "dec.w", "attn.we", "out.w",
+                                                 "head.w", "style.w2")]
+        err = finite_difference_check(loss_fn, params, step=1e-6, max_coords_per_param=6)
+        assert err < 1e-5
+

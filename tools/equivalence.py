@@ -24,9 +24,12 @@ records:
   recorded stage-2 steps, the greedy token lists and gate matrices of the
   corpus's test sentences toward the opposite style, styled, with
   ``gate_override=0.0`` and with ``styled=False``. The output keeps a digest of
-  each, the number of outputs that contain PAD, the ``repr`` of the outputs'
-  ``corpus_bleu`` against the corpus's test references, and the count of
-  sentences whose tokens differ;
+  the tokens, the number of outputs that contain PAD, the ``repr`` of the
+  outputs' ``corpus_bleu`` against the corpus's test references, the count of
+  sentences whose tokens differ, and the largest absolute gate gap over each
+  sentence's decoded positions through its EOS step. A gate after a row's EOS
+  step is not compared: it is 0 where decoding stops at EOS, and the gates of
+  continued decoding where it does not;
 * ``cli``: ``train-classifier``, ``train-lm``, ``train-stage1`` and
   ``train-stage2`` run through ``restyle.cli.main`` on a small generated
   corpus (the seed is the corpus seed and ``run.root_seed``) with a small
@@ -39,11 +42,12 @@ records:
   under every variant of ``training.VARIANTS``.
 
 The result holds, per seed, both records and whether the loss totals and
-hashes are identical, each step's relative gap in the loss total and in each
-stage-2 term (absolute where the parent's value is 0), the largest
-relative perplexity gap, and per stage the first step's largest gradient gap
-relative to the parent gradient's norm, ``max |g_change - g_parent| /
-||g_parent||`` over each parameter's entries. Both sides start from the same
+hashes are identical (the transfer records apart from their gates), each
+step's relative gap in the loss total and in each stage-2 term (absolute
+where the parent's value is 0), the largest relative perplexity gap, and
+per stage the first step's largest gradient gap relative to the parent
+gradient's norm, ``max |g_change - g_parent| / ||g_parent||`` over each
+parameter's entries. Both sides start from the same
 values there, so that gap is the change's own rounding in the backward pass,
 before an optimizer amplifies it from step to step.
 ``tools/paired_bench.py summary --equivalence`` includes it in a BENCH file.
@@ -178,6 +182,14 @@ def transfer_record(model, corpus, max_len: int) -> dict:
                         "corpus_bleu": repr(corpus_bleu(decoded,
                                                         corpus.raw.test_references))}
     return record
+
+
+def decoded_gate_gap(parent: dict, change: dict) -> float:
+    """max |g_change - g_parent| over each sentence's gates up to and including
+    its EOS step, as the parent decoded it."""
+    return max((float(np.abs(np.subtract(gc[:len(t) + 1], gp[:len(t) + 1])).max())
+                for t, gp, gc in zip(parent["tokens"], parent["gates"], change["gates"],
+                                     strict=True)), default=0.0)
 
 
 def digest(obj) -> str:
@@ -333,11 +345,12 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
     transfer_gaps = {f"{model}.{mode}": sum(a != b for a, b in zip(
         p["transfer"][model][mode]["tokens"], c["transfer"][model][mode]["tokens"], strict=True))
         for model in p["transfer"] for mode in TRANSFER_MODES}
-    transfer_identical = p["transfer"] == c["transfer"]
+    gate_gaps = {f"{model}.{mode}": decoded_gate_gap(p["transfer"][model][mode],
+                                                     c["transfer"][model][mode])
+                 for model in p["transfer"] for mode in TRANSFER_MODES}
     for r in rec.values():
         r["transfer"] = {model: {mode: {"sentences": len(v["tokens"]),
                                         "tokens_sha256": digest(v["tokens"]),
-                                        "gates_sha256": digest(v["gates"]),
                                         "outputs_with_pad": v["outputs_with_pad"],
                                         "corpus_bleu": v["corpus_bleu"]}
                                  for mode, v in modes.items()}
@@ -363,8 +376,9 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
                                           == c["lm"][k]["refit_weights_hash"] for k in p["lm"]),
         "lm_max_relative_perplexity_gap": ppl_gap,
         "cli_identical": p["cli"] == c["cli"],
-        "transfer_identical": transfer_identical,
+        "transfer_identical": p["transfer"] == c["transfer"],
         "transfer_differing_sentences": transfer_gaps,
+        "transfer_max_decoded_gate_gap": gate_gaps,
         **rec,
     }
 
