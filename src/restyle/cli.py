@@ -27,7 +27,8 @@ from restyle.checkpoint import (
     save_checkpoint,
 )
 from restyle.config import ExperimentConfig, load_config
-from restyle.data import LabeledCorpus, Vocabulary, build_vocab, pack_batch, read_sentences
+from restyle.data import (LabeledCorpus, Vocabulary, build_vocab, length_ordered_batches,
+                          read_sentences)
 from restyle.language_model import DirectionalLanguageModel
 from restyle.lrp import hard_word_relevance
 from restyle.metrics import build_report, corpus_bleu, transfer_accuracy
@@ -359,7 +360,9 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     vocab = Vocabulary.load(require(run_dir / "vocab.txt", "vocabulary"))
     clf, _ = load_model(Path(args.classifier) if args.classifier
                         else run_dir / "classifier.ckpt", "classifier", vocab)
-    outputs = maybe_lower(read_sentences(require(Path(args.outputs), "outputs file")), cfg)
+    # one output per line, empty ones kept: transfer writes an empty output as an empty line
+    with open(require(Path(args.outputs), "outputs file"), encoding="utf-8") as f:
+        outputs = maybe_lower([line.strip() for line in f], cfg)
     references = read_references(cfg, args.refs, "--refs", len(outputs), "outputs")
     acc = transfer_accuracy([vocab.encode(s) for s in outputs],
                             [args.target_style] * len(outputs), clf)
@@ -401,24 +404,22 @@ def cmd_lrp_inspect(args, cfg: ExperimentConfig) -> int:
         epsilon = args.epsilon
     elif epsilon is None:
         epsilon = cfg.lrp.epsilon
-    records = []
-    for lo in range(0, len(sentences), 64):
-        part = slice(lo, lo + 64)
-        batch = pack_batch(encoded[part])
-        wr = hard_word_relevance(clf, batch.enc_ids, batch.lengths, np.asarray(targets[part]),
+    relevance = [None] * len(sentences)
+    for rows, batch in length_ordered_batches(encoded, 64, targets):
+        wr = hard_word_relevance(clf, batch.enc_ids, batch.lengths, batch.labels,
                                  eta=eta, epsilon=epsilon, stabilizer=cfg.lrp.stabilizer)
-        for i, (sentence, target) in enumerate(zip(sentences[part], targets[part])):
-            tokens = sentence.split()
-            lam = wr.lam.values[i, :len(tokens)]
-            raw = wr.raw.values[i, :len(tokens)]
-            for tok, l, r in zip(tokens, lam, raw):
-                print(f"{tok}\t{l:.4f}\t{r:.6f}")
-            print()
-            records.append({"sentence": sentence, "target_style": target,
-                            "tokens": tokens,
-                            "lambda": [round(float(x), 6) for x in lam],
-                            "raw_relevance": [round(float(x), 8) for x in raw],
-                            "eta": eta, "epsilon": epsilon})
+        for i, (row, n) in enumerate(zip(rows, batch.lengths)):
+            relevance[row] = wr.lam.values[i, :n], wr.raw.values[i, :n]
+    records = []
+    for sentence, target, (lam, raw) in zip(sentences, targets, relevance):
+        tokens = sentence.split()
+        for tok, l, r in zip(tokens, lam, raw):
+            print(f"{tok}\t{l:.4f}\t{r:.6f}")
+        print()
+        records.append({"sentence": sentence, "target_style": target, "tokens": tokens,
+                        "lambda": [round(float(x), 6) for x in lam],
+                        "raw_relevance": [round(float(x), 8) for x in raw],
+                        "eta": eta, "epsilon": epsilon})
     write_text_atomic(run_dir / "relevance.jsonl",
                       "".join(json.dumps(rec) + "\n" for rec in records))
     return 0

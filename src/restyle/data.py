@@ -133,10 +133,9 @@ class Batcher:
         self.rng = np.random.default_rng(seed)
         self.truncated = 0
 
-    def epoch(self, shuffle: bool = True):
+    def epoch(self):
         order = np.arange(len(self.corpus))
-        if shuffle:
-            self.rng.shuffle(order)
+        self.rng.shuffle(order)
         for lo in range(0, len(order), self.batch_size):
             yield self.make_batch(order[lo:lo + self.batch_size])
 
@@ -176,6 +175,18 @@ def pack_batch(seqs: list[list[int]], labels=None, min_width: int = 1) -> Batch:
     if labels is None:
         labels = np.zeros(B, dtype=np.int64)
     return Batch(enc, lengths, dec_in, tgt, tmask, kmask, np.asarray(labels))
+
+
+def length_ordered_batches(seqs, batch_size: int, labels=None):
+    """(rows, Batch) pairs over ``seqs`` taken in a stable length order, so each
+    batch is padded only to its own longest sentence. ``rows`` are the input
+    positions of a batch's sentences, for writing results back in input order;
+    ``labels``, one per sentence, follow their rows into ``Batch.labels``."""
+    order = np.argsort([len(s) for s in seqs], kind="stable")
+    labels = np.zeros(len(seqs), dtype=np.int64) if labels is None else np.asarray(labels)
+    for lo in range(0, len(seqs), batch_size):
+        rows = order[lo:lo + batch_size]
+        yield rows, pack_batch([seqs[i] for i in rows], labels[rows])
 
 
 def train_dev_split(corpus: LabeledCorpus, dev_fraction: float, seed: int):

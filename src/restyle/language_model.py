@@ -17,7 +17,7 @@ import numpy as np
 from restyle import autodiff as ad
 from restyle.autodiff import Tensor, constant, parameter
 from restyle.base import Estimator, check_fitted, check_token_sequences
-from restyle.data import BOS, PAD, LabeledCorpus, Batcher, pack_batch, train_dev_split
+from restyle.data import BOS, PAD, Batcher, LabeledCorpus, length_ordered_batches, train_dev_split
 from restyle.seq2seq import GruCell, SoftSentence
 
 logger = logging.getLogger(__name__)
@@ -84,10 +84,10 @@ class DirectionalLanguageModel(Estimator):
         if not X:
             raise ValueError("empty corpus for language model")
         self._init_params()
-        seqs = self._oriented(X)
-        corpus = LabeledCorpus(seqs, [0] * len(seqs))
-        train, dev = train_dev_split(corpus, self.dev_fraction, self.seed)
-        batcher = Batcher(train, self.batch_size, self.max_len, seed=self.seed + 1)
+        train, dev = train_dev_split(LabeledCorpus(X, [0] * len(X)), self.dev_fraction,
+                                     self.seed)
+        batcher = Batcher(LabeledCorpus(self._oriented(train.sentences), train.labels),
+                          self.batch_size, self.max_len, seed=self.seed + 1)
         opt = ad.make_optimizer(self.optimizer,
                                 [self.params_[k] for k in sorted(self.params_)],
                                 self.learning_rate, self.clip_norm)
@@ -96,19 +96,17 @@ class DirectionalLanguageModel(Estimator):
                 loss = self._token_nll(batch, batch.target_mask).sum(axis=1).mean()
                 ad.backward(loss)
                 opt.step()
-        self.dev_perplexity_ = self.perplexity([s for s in dev.sentences],
-                                               already_oriented=True)
+        self.dev_perplexity_ = self.perplexity(dev.sentences)
         logger.info("lm style=%s dir=%s held-out perplexity: %.3f",
                     self.style, self.direction, self.dev_perplexity_)
         return self
 
-    def perplexity(self, X, already_oriented: bool = False) -> float:
+    def perplexity(self, X) -> float:
         check_fitted(self, "params_")
-        seqs = X if already_oriented else self._oriented(check_token_sequences(X))
+        seqs = self._oriented(check_token_sequences(X))
         total_nll, total_tokens = 0.0, 0
         with ad.no_grad():
-            for lo in range(0, len(seqs), 64):
-                batch = pack_batch(seqs[lo:lo + 64])
+            for _, batch in length_ordered_batches(seqs, 64):
                 total_nll += float(self._token_nll(batch, batch.target_mask).values.sum())
                 total_tokens += int(batch.target_mask.sum())
         return float(np.exp(total_nll / max(total_tokens, 1)))

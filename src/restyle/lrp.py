@@ -162,6 +162,7 @@ def calibrate_eta(clf: TextCnnStyleClassifier, sentences, labels,
     idx = rng.permutation(len(sentences))[:sample]
     peaks = []
     with ad.no_grad():
+        # input order: eta scales every target; length order moves 10-19% of peaks, by <= 3.5e-16
         for lo in range(0, len(idx), 64):
             chunk = [sentences[i] for i in idx[lo:lo + 64]]
             chunk_labels = np.array([labels[i] for i in idx[lo:lo + 64]])

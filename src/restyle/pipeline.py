@@ -17,7 +17,8 @@ import numpy as np
 
 from restyle.base import ParamMixin, check_binary_labels, check_fitted
 from restyle.config import ExperimentConfig, load_config
-from restyle.data import NON_WORDS, LabeledCorpus, Vocabulary, build_vocab, pack_batch
+from restyle.data import (NON_WORDS, LabeledCorpus, Vocabulary, build_vocab,
+                          length_ordered_batches)
 from restyle.language_model import DirectionalLanguageModel
 from restyle.lrp import calibrate_eta
 from restyle.metrics import MetricReport, build_report, corpus_bleu, transfer_accuracy
@@ -149,22 +150,21 @@ def train_stage2(cfg: ExperimentConfig, model: Seq2seqModel, clf: TextCnnStyleCl
 # transfer and its evaluation
 
 
-def transfer_sentences(model: Seq2seqModel, id_seqs, target_style: int,
+def transfer_sentences(model: Seq2seqModel, id_seqs, target_style: int | np.ndarray,
                        max_len: int = 16, gate_override=None, styled: bool = True,
                        batch_size: int = 128):
-    """Greedy transfer of encoded sentences; returns (token lists, gate rows)
-    in input order. Batches are taken in length order, so each is padded only
-    to its own longest source, and its outputs, whose lengths follow their
-    sources', end at similar steps."""
+    """Greedy transfer of encoded sentences toward ``target_style``, one style
+    or one per sentence; returns (token lists, gate rows) in input order.
+    Batches are taken in length order, so each is padded only to its own
+    longest source, and its outputs, whose lengths follow their sources', end
+    at similar steps."""
     outputs, gate_rows = [None] * len(id_seqs), [None] * len(id_seqs)
-    order = np.argsort([len(s) for s in id_seqs], kind="stable")
-    for lo in range(0, len(id_seqs), batch_size):
-        idx = order[lo:lo + batch_size]
-        batch = pack_batch([id_seqs[i] for i in idx])
+    targets = np.broadcast_to(target_style, (len(id_seqs),))
+    for rows, batch in length_ordered_batches(id_seqs, batch_size, targets):
         toks, gates = model.generate_greedy(batch.enc_ids, batch.lengths,
-                                            target_style=target_style, styled=styled,
+                                            target_style=batch.labels, styled=styled,
                                             max_len=max_len, gate_override=gate_override)
-        for i, out, row in zip(idx, toks, gates):
+        for i, out, row in zip(rows, toks, gates):
             outputs[i], gate_rows[i] = out, row
     return outputs, gate_rows
 
@@ -182,20 +182,11 @@ def evaluate_transfer(model: Seq2seqModel, classifier: TextCnnStyleClassifier,
 
     ``references`` holds one list of reference strings per input sentence.
     """
-    ids = [vocab.encode(s) for s in sentences]
-    labels = np.asarray(labels)
-    outputs: list[list[int]] = [None] * len(ids)
-    for style in (0, 1):
-        idx = np.where(labels == style)[0]
-        if len(idx) == 0:
-            continue
-        outs, _ = transfer_sentences(model, [ids[i] for i in idx], 1 - style,
-                                     max_len=max_len, gate_override=gate_override,
-                                     styled=styled)
-        for i, o in zip(idx, outs):
-            outputs[i] = o
-
-    acc = transfer_accuracy(outputs, 1 - labels, classifier)
+    targets = 1 - np.asarray(labels)
+    outputs, _ = transfer_sentences(model, [vocab.encode(s) for s in sentences], targets,
+                                    max_len=max_len, gate_override=gate_override,
+                                    styled=styled)
+    acc = transfer_accuracy(outputs, targets, classifier)
     decoded = [vocab.decode(o) if o else "" for o in outputs]
     bleu = corpus_bleu(decoded, references)
     return build_report(acc, bleu, len(outputs)), decoded

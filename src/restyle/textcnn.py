@@ -17,7 +17,7 @@ import numpy as np
 from restyle import autodiff as ad
 from restyle.autodiff import Tensor, constant, parameter
 from restyle.base import Estimator, check_binary_labels, check_fitted, check_token_sequences
-from restyle.data import PAD, LabeledCorpus, Batcher, pack_batch, train_dev_split
+from restyle.data import PAD, Batcher, LabeledCorpus, length_ordered_batches, train_dev_split
 
 logger = logging.getLogger(__name__)
 
@@ -176,14 +176,11 @@ class TextCnnStyleClassifier(Estimator):
         check_fitted(self, "params_")
         X = check_token_sequences(X)
         out = np.zeros((len(X), 2))
-        order = np.argsort([len(s) for s in X], kind="stable")
         with ad.no_grad():
-            for lo in range(0, len(X), 256):
-                idx = order[lo:lo + 256]
-                batch = pack_batch([X[i] for i in idx])
+            for rows, batch in length_ordered_batches(X, 256):
                 # a temporary trace, freed before the next chunk's is built
-                out[idx] = ad.softmax(self.forward_trace(batch.enc_ids, batch.lengths)
-                                      .logits).values
+                out[rows] = ad.softmax(self.forward_trace(batch.enc_ids, batch.lengths)
+                                       .logits).values
         return out
 
     def predict(self, X) -> np.ndarray:

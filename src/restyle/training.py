@@ -21,7 +21,8 @@ import numpy as np
 
 from restyle import autodiff as ad
 from restyle.autodiff import constant
-from restyle.data import Batcher, LabeledCorpus, corrupt_batch, pack_batch
+from restyle.data import (Batcher, LabeledCorpus, corrupt_batch, length_ordered_batches,
+                          pack_batch)
 from restyle.language_model import fluency_loss
 from restyle.lrp import hard_word_relevance, soft_word_relevance
 from restyle.seq2seq import Seq2seqModel, sample_gumbel
@@ -195,6 +196,7 @@ class LambdaTargetCache:
         self._store: dict[tuple, np.ndarray] = {}
 
     def precompute(self, corpus: LabeledCorpus, batch_size: int = 64) -> None:
+        # input order: stage 1 trains on these; length order moves 8-16% of them, by <= 8.9e-16
         for lo in range(0, len(corpus), batch_size):
             seqs = corpus.sentences[lo:lo + batch_size]
             labels = np.asarray(corpus.labels[lo:lo + batch_size])
@@ -306,11 +308,8 @@ class Stage1Trainer:
         """Teacher-forced token accuracy and relevance MSE on clean input."""
         correct = tokens = 0
         mse_sum = 0.0
-        n = 0
         with ad.no_grad():
-            for lo in range(0, len(corpus), batch_size):
-                batch = pack_batch(corpus.sentences[lo:lo + batch_size],
-                                   labels=corpus.labels[lo:lo + batch_size])
+            for _, batch in length_ordered_batches(corpus.sentences, batch_size, corpus.labels):
                 logits, gates = self.model.teacher_forced_pass(batch)
                 pred = logits.values.argmax(axis=2)
                 correct += int(((pred == batch.targets) * batch.target_mask).sum())
@@ -319,16 +318,14 @@ class Stage1Trainer:
                 err = relevance_error(ad.narrow(gates, 1, 0, lam_x.shape[1]),
                                       constant(lam_x), batch.token_mask, batch.lengths)
                 mse_sum += float(err.values.sum())
-                n += len(batch.lengths)
         return {"token_accuracy": correct / max(tokens, 1),
-                "relevance_mse": mse_sum / max(n, 1)}
+                "relevance_mse": mse_sum / max(len(corpus), 1)}
 
-    def train(self) -> dict:
+    def train(self) -> None:
         batcher = Batcher(self.train_corpus, self.cfg.batch_size, self.cfg.max_len,
                           seed=self.cfg.seed + 1)
         best = np.inf
         stall = 0
-        history = []
         for epoch in range(self.cfg.epochs):
             for batch in batcher.epoch():
                 self.step(batch)
@@ -336,7 +333,6 @@ class Stage1Trainer:
                 continue
             metrics = self.evaluate(self.dev_corpus)
             dev_loss = (1.0 - metrics["token_accuracy"]) + metrics["relevance_mse"]
-            history.append({"epoch": epoch, **metrics})
             logger.info("stage1 epoch %d: token_acc=%.4f rel_mse=%.5f",
                         epoch, metrics["token_accuracy"], metrics["relevance_mse"])
             if dev_loss < best - 1e-5:
@@ -346,7 +342,6 @@ class Stage1Trainer:
                 if stall >= self.cfg.patience:
                     logger.info("stage1 early stop at epoch %d", epoch)
                     break
-        return {"steps": self.step_count, "history": history}
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +472,7 @@ class Stage2Trainer:
         self.log.record(self.step_count, br)
         return br
 
-    def train(self, max_steps: int | None = None) -> dict:
+    def train(self, max_steps: int | None = None) -> None:
         """Alternate 0->1 and 1->0 batches with a linear temperature schedule."""
         per_epoch = sum(int(np.ceil(len(b.corpus) / self.cfg.batch_size))
                         for b in self.batchers.values())
@@ -497,6 +492,5 @@ class Stage2Trainer:
                                   tau=self.tau_at(step, total))
                         step += 1
                         if max_steps is not None and step >= max_steps:
-                            return {"steps": self.step_count}
+                            return
                 turn = 1 - turn
-        return {"steps": self.step_count}

@@ -326,6 +326,31 @@ class TestPipelineCommands:
         assert err.startswith("error: runtime: ")
         assert f"reference file {short} has 1 lines for the {n} outputs" in err
 
+    def test_07c_evaluate_scores_an_empty_output_as_a_miss(self, cli_env, capsys, tmp_path):
+        from restyle.cli import load_model
+        from restyle.data import Vocabulary
+        from restyle.metrics import corpus_bleu
+
+        # transfer writes a generation that starts with EOS as an empty line
+        work = copy_run(cli_env, tmp_path / "run", ["vocab.txt", "classifier.ckpt"])
+        first, last = (s.lower() for s in cli_env["corpus"].dev_sentences[:2])
+        outputs = tmp_path / "outputs.txt"
+        outputs.write_text(f"{first}\n\n{last}\n")
+        refs = tmp_path / "refs.txt"
+        refs.write_text(f"{first}\n{first}\n{last}\n")
+        rc = main(["--config", cli_env["config"], "--run-dir", str(work), "evaluate",
+                   "--outputs", str(outputs), "--refs", str(refs), "--target-style", "1"])
+        capsys.readouterr()
+        assert rc == 0
+        metrics = json.loads((work / "metrics.json").read_text())
+        vocab = Vocabulary.load(work / "vocab.txt")
+        clf, _ = load_model(work / "classifier.ckpt", "classifier", vocab)
+        hits = int((clf.predict([vocab.encode(first), vocab.encode(last)]) == 1).sum())
+        assert metrics["n_sentences"] == 3
+        assert metrics["acc"] == pytest.approx(100.0 * hits / 3)
+        assert metrics["bleu"] == pytest.approx(
+            corpus_bleu([first, "", last], [[first], [first], [last]]))
+
     def test_08_metrics_recomputable_from_artifacts(self, cli_env, capsys):
         run_dir = Path(cli_env["run_dir"])
         corpus_dir = cli_env["corpus_dir"]
@@ -499,6 +524,35 @@ class TestPipelineCommands:
                                       epsilon=record["epsilon"], stabilizer=0.5).raw.values
             assert record["raw_relevance"] == [round(float(x), 8)
                                                for x in raw[0, :len(record["tokens"])]]
+
+    def test_09h_lrp_inspect_keeps_input_order(self, cli_env, capsys, tmp_path):
+        from restyle.cli import load_model
+        from restyle.data import Vocabulary, pack_batch
+        from restyle.lrp import hard_word_relevance
+
+        # longest first, over two batches: length order reverses them
+        sentences = sorted(cli_env["corpus"].dev_sentences, key=lambda s: -len(s.split()))
+        assert len(sentences) > 64 and len({len(s.split()) for s in sentences}) > 1
+        src = tmp_path / "inspect_in.txt"
+        src.write_text("".join(line + "\n" for line in sentences))
+        assert run_cli(cli_env, "lrp-inspect", "--input", str(src)) == 0
+        out = capsys.readouterr().out
+        records = [json.loads(line) for line in
+                   (Path(cli_env["run_dir"]) / "relevance.jsonl").read_text().splitlines()]
+        assert [r["sentence"] for r in records] == sentences
+        assert [l.split("\t")[0] for l in out.splitlines() if l] == [
+            tok for s in sentences for tok in s.split()]
+        vocab = Vocabulary.load(Path(cli_env["run_dir"]) / "vocab.txt")
+        clf, _ = load_model(Path(cli_env["run_dir"]) / "classifier.ckpt", "classifier", vocab)
+        for record in records:
+            ids = vocab.encode(record["sentence"])
+            batch = pack_batch([ids])
+            wr = hard_word_relevance(clf, batch.enc_ids, batch.lengths, record["target_style"],
+                                     eta=record["eta"], epsilon=record["epsilon"])
+            for key, values, digits in (("lambda", wr.lam.values, 6),
+                                        ("raw_relevance", wr.raw.values, 8)):
+                alone = [round(float(x), digits) for x in values[0, :len(ids)]]
+                np.testing.assert_allclose(record[key], alone, rtol=0, atol=1e-12)
 
     def test_09d_evaluate_lowercases_references(self, cli_env, capsys, tmp_path):
         # data.lowercase defaults to true: outputs and references compare in lower case

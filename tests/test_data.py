@@ -12,6 +12,7 @@ from restyle.data import (
     Vocabulary,
     build_vocab,
     corrupt,
+    length_ordered_batches,
     pack_batch,
 )
 
@@ -131,7 +132,7 @@ class TestBatching:
     def test_truncation_counted_with_eos_preserved(self):
         corpus = LabeledCorpus([[4, 5, 6, 7, 8, 9]], [0])
         batcher = Batcher(corpus, batch_size=1, max_len=4)
-        batch = next(batcher.epoch(shuffle=False))
+        batch = next(batcher.epoch())
         assert batcher.truncated == 1
         assert batch.lengths.tolist() == [4]
         assert batch.targets[0, 4] == EOS
@@ -145,6 +146,30 @@ class TestBatching:
     def test_min_width_padding(self):
         b = pack_batch([[4, 5]], min_width=4)
         assert b.enc_ids.shape == (1, 4)
+
+
+class TestLengthOrderedBatches:
+    def test_rows_once_widths_rising_labels_follow(self):
+        rng = np.random.default_rng(4)
+        seqs = [rng.integers(4, 20, size=n).tolist() for n in rng.integers(1, 9, size=23)]
+        labels = rng.integers(0, 2, size=23)
+        pairs = list(length_ordered_batches(seqs, 5, labels))
+        rows = np.concatenate([r for r, _ in pairs]).tolist()
+        # every row once, by length and then by input position
+        assert sorted(rows) == list(range(23))
+        assert rows == sorted(rows, key=lambda i: (len(seqs[i]), i))
+        widths = [batch.enc_ids.shape[1] for _, batch in pairs]
+        assert widths == sorted(widths) and len(set(widths)) > 1
+        for r, batch in pairs:
+            assert len(r) <= 5
+            assert batch.enc_ids.shape[1] == max(len(seqs[i]) for i in r)
+            assert batch.labels.tolist() == labels[r].tolist()
+            for i, ids, n in zip(r, batch.enc_ids, batch.lengths):
+                assert ids[:n].tolist() == seqs[i] and not ids[n:].any()
+
+    def test_labels_default_to_zero(self):
+        (rows, batch), = length_ordered_batches([[4, 5, 6], [7]], 4)
+        assert rows.tolist() == [1, 0] and batch.labels.tolist() == [0, 0]
 
 
 class TestLabeledCorpus:

@@ -77,6 +77,18 @@ class TestTraining:
                                           bwd.params_[name].values)
         assert fwd.dev_perplexity_ == bwd.dev_perplexity_
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_perplexity_pools_each_sentence_alone(self, direction):
+        rng = np.random.default_rng(5)
+        corpus = [rng.integers(4, 12, size=n).tolist() for n in rng.integers(1, 10, size=150)]
+        lm = DirectionalLanguageModel(vocab_size=12, style=0, direction=direction,
+                                      embed_dim=8, hidden_dim=8, epochs=1, seed=2)
+        lm.fit(corpus)
+        # a sentence alone: its log perplexity times its words and EOS is its NLL
+        nll = sum(np.log(lm.perplexity([s])) * (len(s) + 1) for s in corpus)
+        tokens = sum(len(s) + 1 for s in corpus)
+        assert lm.perplexity(corpus) == pytest.approx(np.exp(nll / tokens), rel=1e-12, abs=0)
+
     def test_empty_corpus_rejected(self):
         lm = DirectionalLanguageModel(vocab_size=8, style=0)
         with pytest.raises(ValueError, match="no sequences"):

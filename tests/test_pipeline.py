@@ -178,8 +178,37 @@ class TestTransferSentences:
             np.testing.assert_allclose(row[:decoded], alone_gates[0][:decoded], rtol=0,
                                        atol=1e-12)
 
+    def test_one_target_per_sentence_decodes_as_per_style_calls(self):
+        model = random_tiny_model(21)
+        rng = np.random.default_rng(3)
+        id_seqs = [rng.integers(4, 12, size=n).tolist() for n in (5, 2, 4, 1, 3, 6, 2, 5, 3, 4)]
+        targets = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0])
+        tokens, gates = transfer_sentences(model, id_seqs, targets, max_len=8, batch_size=3)
+        assert tokens != transfer_sentences(model, id_seqs, 1 - targets, max_len=8)[0]
+        for style in (0, 1):
+            idx = np.flatnonzero(targets == style)
+            alone_tokens, alone_gates = transfer_sentences(model, [id_seqs[i] for i in idx],
+                                                           style, max_len=8, batch_size=3)
+            assert [tokens[i] for i in idx] == alone_tokens
+            for i, row in zip(idx, alone_gates):
+                decoded = min(len(tokens[i]) + 1, 8)
+                np.testing.assert_allclose(gates[i][:decoded], row[:decoded], rtol=0,
+                                           atol=1e-12)
+
 
 class TestEvaluateTransfer:
+    def test_mixed_styles_decode_as_per_style_transfer(self, fitted_pipeline):
+        pipe, corpus = fitted_pipeline
+        X, labels = corpus.test_sentences, np.asarray(corpus.test_labels)
+        assert len(set(labels[:8])) == 2 and len({len(s.split()) for s in X}) > 1
+        _, decoded = evaluate_transfer(pipe.model_, pipe.classifier_, pipe.vocab_, X, labels,
+                                       corpus.test_references)
+        for style in (0, 1):
+            idx = np.flatnonzero(labels == style)
+            outs, _ = transfer_sentences(pipe.model_, [pipe.vocab_.encode(X[i]) for i in idx],
+                                         1 - style)
+            assert [decoded[i] for i in idx] == [pipe.vocab_.decode(o) for o in outs]
+
     def test_report_on_oracle_substitution(self, fitted_pipeline):
         # feeding reference transfers as 'outputs' of an identity model measures
         # the scoring path: accuracy near classifier quality, BLEU = 100

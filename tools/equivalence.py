@@ -29,7 +29,10 @@ records:
   sentences whose tokens differ, and the largest absolute gate gap over each
   sentence's decoded positions through its EOS step. A gate after a row's EOS
   step is not compared: it is 0 where decoding stops at EOS, and the gates of
-  continued decoding where it does not;
+  continued decoding where it does not. Each mode also keeps the decoded
+  outputs and the report of ``evaluate_transfer`` on the same test sentences,
+  which decodes both styles in one call where the per-style calls above
+  decode one style each, and the count of outputs that differ;
 * ``cli``: ``train-classifier``, ``train-lm``, ``train-stage1`` and
   ``train-stage2`` run through ``restyle.cli.main`` on a small generated
   corpus (the seed is the corpus seed and ``run.root_seed``) with a small
@@ -38,11 +41,15 @@ records:
   ``no-lxlambda`` in a second run directory that starts from the first one's
   vocabulary, classifier and LMs; the ``params_hash`` of all fourteen
   checkpoints, the ``total`` column of every ``train_log`` CSV, a hash of the
-  corpus files, and the stdout of ``restyle gradcheck --coords-per-param 1``
-  under every variant of ``training.VARIANTS``.
+  corpus files, the stdout of ``restyle gradcheck --coords-per-param 1``
+  under every variant of ``training.VARIANTS``, and the records of
+  ``restyle lrp-inspect`` (its ``relevance.jsonl``) for the corpus's test
+  inputs, with the largest gap in any of their ``lambda`` and
+  ``raw_relevance`` values.
 
 The result holds, per seed, both records and whether the loss totals and
-hashes are identical (the transfer records apart from their gates), each
+hashes are identical (the transfer records apart from their gates, the cli
+record apart from the ``lrp-inspect`` records, which are compared alone), each
 step's relative gap in the loss total and in each stage-2 term (absolute
 where the parent's value is 0), the largest relative perplexity gap, and
 per stage the first step's largest gradient gap relative to the parent
@@ -156,15 +163,15 @@ def record_first_grads(optimizer, params: dict) -> dict:
     return grads
 
 
-def transfer_record(model, corpus, max_len: int) -> dict:
+def transfer_record(model, clf, corpus, max_len: int) -> dict:
     """Per mode of ``TRANSFER_MODES``: greedy token lists and gate rows of the
     test sentences toward the opposite style, in input order, the number of
     outputs that contain PAD, and the ``repr`` of the decoded outputs'
     ``corpus_bleu`` against the test references, decoded as ``evaluate_transfer``
-    decodes them."""
+    decodes them; and ``evaluate_transfer``'s own decoded outputs and report."""
     from restyle.data import PAD
     from restyle.metrics import corpus_bleu
-    from restyle.pipeline import transfer_sentences
+    from restyle.pipeline import evaluate_transfer, transfer_sentences
 
     labels = np.asarray(corpus.test.labels)
     record = {}
@@ -177,10 +184,15 @@ def transfer_record(model, corpus, max_len: int) -> dict:
             for i, out, row in zip(idx, outs, rows):
                 tokens[i], gates[i] = out, row.tolist()
         decoded = [corpus.vocab.decode(t) if t else "" for t in tokens]
+        raw = corpus.raw
+        report, evaluated = evaluate_transfer(model, clf, corpus.vocab, raw.test_sentences,
+                                              raw.test_labels, raw.test_references,
+                                              max_len=max_len, **kwargs)
         record[mode] = {"tokens": tokens, "gates": gates,
                         "outputs_with_pad": sum(PAD in t for t in tokens),
-                        "corpus_bleu": repr(corpus_bleu(decoded,
-                                                        corpus.raw.test_references))}
+                        "corpus_bleu": repr(corpus_bleu(decoded, raw.test_references)),
+                        "evaluate_decoded": evaluated,
+                        "evaluate_report": json.loads(report.to_json())}
     return record
 
 
@@ -229,14 +241,16 @@ def worker_record(checkout: Path, seed: int, start: Path, steps: int, out: Path)
             "refit_held_out_perplexity": refit.dev_perplexity_,
             "refit_weights_hash": refit.weights_hash()}
 
-    record["transfer"] = {"stage1": transfer_record(models.model, corpus, workloads.MAX_LEN)}
+    record["transfer"] = {"stage1": transfer_record(models.model, models.clf, corpus,
+                                                    workloads.MAX_LEN)}
     trainer = workloads.stage2_trainer(models, corpus, seed, workloads.FINETUNE_MAX_LEN)
     grads2 = record_first_grads(trainer.optimizer, models.model.params)
     trainer.train(max_steps=steps)
     record["stage2"] = {"loss_totals": [row["total"] for row in trainer.log.rows],
                         "terms": {t: [row[t] for row in trainer.log.rows] for t in STAGE2_TERMS},
                         "params_hash": params_hash(models.model.params)}
-    record["transfer"]["stage2"] = transfer_record(models.model, corpus, workloads.MAX_LEN)
+    record["transfer"]["stage2"] = transfer_record(models.model, models.clf, corpus,
+                                                   workloads.MAX_LEN)
     out.write_text(json.dumps(record))
     np.savez(grads_path(out), **{f"stage1/{k}": g for k, g in grads1.items()},
              **{f"stage2/{k}": g for k, g in grads2.items()})
@@ -301,12 +315,18 @@ def worker_cli(checkout: Path, seed: int, work: Path, out: Path) -> None:
     gradcheck = {variant: cli(run_dir, "--set", f"stage2.ablation={variant}", "gradcheck",
                               "--coords-per-param", "1")
                  for variant in VARIANTS}
+    test_inputs = work / "test.input.txt"
+    test_inputs.write_text("".join((corpus / f"test.style{s}.input.txt").read_text()
+                                   for s in (0, 1)))
+    cli(run_dir, "lrp-inspect", "--input", str(test_inputs))
+    lrp_inspect = [json.loads(line)
+                   for line in (run_dir / "relevance.jsonl").read_text().splitlines()]
 
     digest = hashlib.sha256()
     for path in sorted(corpus.iterdir()):
         digest.update(path.name.encode() + path.read_bytes())
     record = {"corpus_hash": digest.hexdigest(), "params_hash": {}, "loss_totals": {},
-              "gradcheck": gradcheck}
+              "gradcheck": gradcheck, "lrp_inspect": lrp_inspect}
     for prefix, run, pattern in (("", run_dir, "*.ckpt"),
                                  ("no-lxlambda/", no_lx_dir, "stage*.ckpt")):
         for path in sorted(run.glob(pattern)):
@@ -348,11 +368,22 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
     gate_gaps = {f"{model}.{mode}": decoded_gate_gap(p["transfer"][model][mode],
                                                      c["transfer"][model][mode])
                  for model in p["transfer"] for mode in TRANSFER_MODES}
+    evaluate_gaps = {f"{model}.{mode}": sum(a != b for a, b in zip(
+        p["transfer"][model][mode]["evaluate_decoded"],
+        c["transfer"][model][mode]["evaluate_decoded"], strict=True))
+        for model in p["transfer"] for mode in TRANSFER_MODES}
+    lrp_inspect_gap = max(abs(x - y)
+                          for rp, rc in zip(p["cli"]["lrp_inspect"], c["cli"]["lrp_inspect"],
+                                            strict=True)
+                          for key in ("lambda", "raw_relevance")
+                          for x, y in zip(rp[key], rc[key], strict=True))
     for r in rec.values():
         r["transfer"] = {model: {mode: {"sentences": len(v["tokens"]),
                                         "tokens_sha256": digest(v["tokens"]),
                                         "outputs_with_pad": v["outputs_with_pad"],
-                                        "corpus_bleu": v["corpus_bleu"]}
+                                        "corpus_bleu": v["corpus_bleu"],
+                                        "evaluate_decoded_sha256": digest(v["evaluate_decoded"]),
+                                        "evaluate_report": v["evaluate_report"]}
                                  for mode, v in modes.items()}
                          for model, modes in r["transfer"].items()}
     ppl_gap = max(abs(p["lm"][k][f] - c["lm"][k][f]) / p["lm"][k][f]
@@ -375,10 +406,14 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
         "lm_refit_weights_identical": all(p["lm"][k]["refit_weights_hash"]
                                           == c["lm"][k]["refit_weights_hash"] for k in p["lm"]),
         "lm_max_relative_perplexity_gap": ppl_gap,
-        "cli_identical": p["cli"] == c["cli"],
+        "cli_identical": ({k: v for k, v in p["cli"].items() if k != "lrp_inspect"}
+                          == {k: v for k, v in c["cli"].items() if k != "lrp_inspect"}),
+        "cli_lrp_inspect_identical": p["cli"]["lrp_inspect"] == c["cli"]["lrp_inspect"],
+        "cli_lrp_inspect_max_gap": lrp_inspect_gap,
         "transfer_identical": p["transfer"] == c["transfer"],
         "transfer_differing_sentences": transfer_gaps,
         "transfer_max_decoded_gate_gap": gate_gaps,
+        "evaluate_transfer_differing_outputs": evaluate_gaps,
         **rec,
     }
 
