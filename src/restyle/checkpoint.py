@@ -83,32 +83,43 @@ def save_checkpoint(path, params: dict[str, Tensor], header: dict) -> None:
             f.write(np.ascontiguousarray(params[name].values, dtype="<f8").tobytes())
 
 
+def _read(f, n: int, path) -> bytes:
+    blob = f.read(n)
+    if len(blob) != n:
+        raise ValueError(f"checkpoint {path}: truncated (wanted {n} bytes at "
+                         f"offset {f.tell() - len(blob)}, got {len(blob)})")
+    return blob
+
+
+def _read_header(f, path) -> dict:
+    magic = f.read(len(MAGIC))
+    if magic != MAGIC:
+        raise ValueError(f"checkpoint {path}: bad magic {magic!r}")
+    (version,) = struct.unpack("<I", _read(f, 4, path))
+    if version != VERSION:
+        raise ValueError(f"checkpoint {path}: unsupported version {version}")
+    (hlen,) = struct.unpack("<I", _read(f, 4, path))
+    return json.loads(_read(f, hlen, path).decode("utf-8"))
+
+
+def load_header(path) -> dict:
+    """A checkpoint's header, without reading its weights."""
+    with open(path, "rb") as f:
+        return _read_header(f, path)
+
+
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as f:
-        def read(n: int) -> bytes:
-            blob = f.read(n)
-            if len(blob) != n:
-                raise ValueError(f"checkpoint {path}: truncated (wanted {n} bytes at "
-                                 f"offset {f.tell() - len(blob)}, got {len(blob)})")
-            return blob
-
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"checkpoint {path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", read(4))
-        if version != VERSION:
-            raise ValueError(f"checkpoint {path}: unsupported version {version}")
-        (hlen,) = struct.unpack("<I", read(4))
-        header = json.loads(read(hlen).decode("utf-8"))
-        (count,) = struct.unpack("<I", read(4))
+        header = _read_header(f, path)
+        (count,) = struct.unpack("<I", _read(f, 4, path))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", read(4))
-            name = read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<I", read(4))
-            shape = struct.unpack(f"<{ndim}q", read(8 * ndim))
+            (nlen,) = struct.unpack("<I", _read(f, 4, path))
+            name = _read(f, nlen, path).decode("utf-8")
+            (ndim,) = struct.unpack("<I", _read(f, 4, path))
+            shape = struct.unpack(f"<{ndim}q", _read(f, 8 * ndim, path))
             n = int(np.prod(shape)) if ndim else 1
-            buf = np.frombuffer(read(8 * n), dtype="<f8").astype(np.float64)
+            buf = np.frombuffer(_read(f, 8 * n, path), dtype="<f8").astype(np.float64)
             arrays[name] = buf.reshape(shape)
     return header, arrays
 

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from restyle.checkpoint import (
     config_hash,
     file_hash,
     load_checkpoint,
+    load_header,
     restore_params,
     save_checkpoint,
 )
@@ -37,7 +39,7 @@ from restyle.pipeline import (
     encode_corpus,
     evaluate_transfer,
     maybe_lower,
-    resolve_eta,
+    resolve_lrp,
     train_classifier,
     train_language_models,
     train_stage1,
@@ -46,7 +48,7 @@ from restyle.pipeline import (
 )
 from restyle.seq2seq import Seq2seqModel
 from restyle.textcnn import TextCnnStyleClassifier
-from restyle.training import VARIANTS, TrainLog
+from restyle.training import VARIANTS, LrpConfig, TrainLog
 
 EXIT_MISSING_DEPENDENCY = 3
 EXIT_FAILURE = 1
@@ -186,12 +188,13 @@ def load_model(path: Path, kind: str, vocab: Vocabulary, what: str | None = None
     return model, header
 
 
-def run_lrp(run_dir: Path) -> tuple[float | None, float | None]:
-    """The (eta, epsilon) stage 1 trained with, from the stage1.ckpt header.
-    Each is None when the run does not record it."""
-    ckpt = run_dir / "stage1.ckpt"
-    header = load_checkpoint(ckpt)[0] if ckpt.exists() else {}
-    return tuple(None if header.get(k) is None else float(header[k]) for k in ("eta", "epsilon"))
+def stage1_lrp(path: Path) -> LrpConfig:
+    """The LRP mapping the stage-1 checkpoint at ``path`` trained with, read
+    from its header alone. A header written before the stabilizer was recorded
+    reads as the default stabilizer."""
+    header = load_header(path)
+    return LrpConfig(eta=float(header["eta"]), epsilon=float(header["epsilon"]),
+                     stabilizer=float(header.get("stabilizer", LrpConfig.stabilizer)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,23 +247,23 @@ def cmd_train_stage1(args, cfg: ExperimentConfig) -> int:
     train = load_split(cfg, vocab, "train")
     dev = load_split(cfg, vocab, "dev") if cfg.data.dev_style0 else None
     log = TrainLog(run_dir / "train_log.stage1.csv")
-    model, eta, metrics = train_stage1(cfg, len(vocab), clf, train, dev, log)
+    model, lrp, metrics = train_stage1(cfg, len(vocab), clf, train, dev, log)
     log.close()
-    save_model(run_dir / "stage1.ckpt", "seq2seq", model, vocab, cfg, stage=1, eta=eta,
-               epsilon=cfg.lrp.epsilon, lxlambda_off=cfg.stage1.lxlambda_off)
+    save_model(run_dir / "stage1.ckpt", "seq2seq", model, vocab, cfg, stage=1, **asdict(lrp),
+               lxlambda_off=cfg.stage1.lxlambda_off)
     update_manifest(run_dir, cfg, {
         "artifacts": {"stage1.ckpt": file_hash(run_dir / "stage1.ckpt")},
         "seeds": {"stage1": cfg.stage1.seed},
-        "eta": eta,
+        "eta": lrp.eta,
         "stage1_metrics": metrics,
     })
     print(f"stage1 trained: token_accuracy {metrics['token_accuracy']:.4f} "
-          f"relevance_mse {metrics['relevance_mse']:.5f} (eta {eta:.4f})")
+          f"relevance_mse {metrics['relevance_mse']:.5f} (eta {lrp.eta:.4f})")
     return 0
 
 
-def load_stage1(run_dir: Path, cfg: ExperimentConfig, vocab: Vocabulary):
-    """``(model, header)`` of the run's ``stage1.ckpt``, refused unless its
+def load_stage1(run_dir: Path, cfg: ExperimentConfig, vocab: Vocabulary) -> Seq2seqModel:
+    """The run's ``stage1.ckpt`` model, refused unless its header's
     ``lxlambda_off`` (False when absent) is the variant's."""
     model, header = load_model(run_dir / "stage1.ckpt", "seq2seq", vocab, "stage1 checkpoint")
     off = cfg.stage1.lxlambda_off
@@ -269,18 +272,21 @@ def load_stage1(run_dir: Path, cfg: ExperimentConfig, vocab: Vocabulary):
         raise CliError(f"variant {name} needs a stage1.ckpt trained with "
                        f"stage1.lxlambda_off = {str(off).lower()}; retrain stage 1 under "
                        f"stage2.ablation = {name} first")
-    return model, header
+    return model
 
 
 def run_stage2(run_dir: Path, cfg: ExperimentConfig, vocab: Vocabulary) -> Seq2seqModel:
     """Fine-tune the run's stage-1 model as the variant ``stage2.ablation`` says
     and save it as ``stage2.ckpt``, or ``stage2.<variant>.ckpt`` for an
-    ablation; returns the model. It reads the LMs only if ``uses_lms``."""
+    ablation; returns the model. It maps relevance as the ``stage1.ckpt``
+    header records, whatever this config's ``[lrp]`` says, and reads the LMs
+    only if ``uses_lms``."""
     name = cfg.stage2.ablation
     if not cfg.stage2.variant.nsc:
         raise CliError(f"variant {name} has no stage-2 training; evaluate stage1.ckpt instead")
     clf, _ = load_model(run_dir / "classifier.ckpt", "classifier", vocab)
-    model, header = load_stage1(run_dir, cfg, vocab)
+    model = load_stage1(run_dir, cfg, vocab)
+    lrp = stage1_lrp(run_dir / "stage1.ckpt")
     lms = {}
     if cfg.stage2.uses_lms:
         lms = {(s, d): load_model(run_dir / f"lm.{s}.{d}.ckpt", "lm", vocab)[0]
@@ -288,11 +294,11 @@ def run_stage2(run_dir: Path, cfg: ExperimentConfig, vocab: Vocabulary) -> Seq2s
     train = load_split(cfg, vocab, "train")
     suffix = "" if name == "full" else f".{name}"
     log = TrainLog(run_dir / f"train_log.stage2{suffix}.csv")
-    trainer = train_stage2(cfg, model, clf, lms, header.get("eta"), train, log)
+    trainer = train_stage2(cfg, model, clf, lms, lrp, train, log)
     log.close()
     ckpt = f"stage2{suffix}.ckpt"
-    save_model(run_dir / ckpt, "seq2seq", model, vocab, cfg, stage=2,
-               eta=trainer.lrp_cfg.eta, epsilon=cfg.lrp.epsilon, ablation=name)
+    save_model(run_dir / ckpt, "seq2seq", model, vocab, cfg, stage=2, **asdict(lrp),
+               ablation=name)
     update_manifest(run_dir, cfg, {
         "artifacts": {ckpt: file_hash(run_dir / ckpt)},
         "seeds": {"stage2": cfg.stage2.seed},
@@ -310,12 +316,13 @@ def cmd_train_stage2(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _read_input_sentences(args, cfg) -> list[str]:
-    if args.input and args.input != "-":
-        lines = read_sentences(args.input)
-    else:
-        lines = [line.strip() for line in sys.stdin if line.strip()]
-    return maybe_lower(lines, cfg)
+def read_lines(source) -> list[str]:
+    """Every line of the file ``source`` ('-' for stdin), stripped, blank ones
+    kept, so that line i of a file aligned with it answers line i."""
+    if str(source) == "-":
+        return [line.strip() for line in sys.stdin]
+    with open(source, encoding="utf-8") as f:
+        return [line.strip() for line in f]
 
 
 def cmd_transfer(args, cfg: ExperimentConfig) -> int:
@@ -323,15 +330,20 @@ def cmd_transfer(args, cfg: ExperimentConfig) -> int:
     vocab = Vocabulary.load(require(run_dir / "vocab.txt", "vocabulary"))
     ckpt = Path(args.checkpoint) if args.checkpoint else run_dir / "stage2.ckpt"
     model, header = load_model(ckpt, "seq2seq", vocab, "stage2 checkpoint")
-    sentences = _read_input_sentences(args, cfg)
-    if not sentences:
+    sentences = maybe_lower(read_lines(args.input), cfg)
+    if not any(sentences):
         raise CliError("no input sentences")
-    ids = [vocab.encode(s) for s in sentences]
     # a stage-2 model decodes as its variant trained, a stage-1 model unstyled
     decoding = (VARIANTS[header.get("ablation", "full")].decoding
                 if header.get("stage", 2) == 2 else {"styled": False})
-    outputs, gates = transfer_sentences(model, ids, args.target_style,
-                                        max_len=cfg.data.max_len, **decoding)
+    # a blank input line is not decoded and gets a blank output line
+    kept = [i for i, s in enumerate(sentences) if s]
+    toks, gate_rows = transfer_sentences(model, [vocab.encode(sentences[i]) for i in kept],
+                                         args.target_style, max_len=cfg.data.max_len,
+                                         **decoding)
+    outputs, gates = [[] for _ in sentences], [[] for _ in sentences]
+    for i, out, g in zip(kept, toks, gate_rows):
+        outputs[i], gates[i] = out, g
     decoded = [vocab.decode(o) for o in outputs]
     out_path = Path(args.output) if args.output else run_dir / "outputs.txt"
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -349,9 +361,11 @@ def cmd_transfer(args, cfg: ExperimentConfig) -> int:
                           "".join(json.dumps(rec) + "\n" for rec in records))
     for line in decoded:
         print(line)
-    if run_dir.joinpath("manifest.json").exists():
+    # an output file is a run artifact only inside the run directory
+    out, run = out_path.resolve(), run_dir.resolve()
+    if run in out.parents and run_dir.joinpath("manifest.json").exists():
         update_manifest(run_dir, cfg, {
-            "artifacts": {out_path.name: file_hash(out_path)}})
+            "artifacts": {out.relative_to(run).as_posix(): file_hash(out_path)}})
     return 0
 
 
@@ -360,9 +374,8 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     vocab = Vocabulary.load(require(run_dir / "vocab.txt", "vocabulary"))
     clf, _ = load_model(Path(args.classifier) if args.classifier
                         else run_dir / "classifier.ckpt", "classifier", vocab)
-    # one output per line, empty ones kept: transfer writes an empty output as an empty line
-    with open(require(Path(args.outputs), "outputs file"), encoding="utf-8") as f:
-        outputs = maybe_lower([line.strip() for line in f], cfg)
+    # transfer writes an empty output as an empty line
+    outputs = maybe_lower(read_lines(require(Path(args.outputs), "outputs file")), cfg)
     references = read_references(cfg, args.refs, "--refs", len(outputs), "outputs")
     acc = transfer_accuracy([vocab.encode(s) for s in outputs],
                             [args.target_style] * len(outputs), clf)
@@ -383,7 +396,7 @@ def cmd_lrp_inspect(args, cfg: ExperimentConfig) -> int:
     vocab = Vocabulary.load(require(run_dir / "vocab.txt", "vocabulary"))
     clf, _ = load_model(Path(args.classifier) if args.classifier
                         else run_dir / "classifier.ckpt", "classifier", vocab)
-    sentences = _read_input_sentences(args, cfg)
+    sentences = [s for s in maybe_lower(read_lines(args.input), cfg) if s]
     if not sentences:
         raise CliError("no input sentences")
     encoded = [vocab.encode(s) for s in sentences]
@@ -391,23 +404,21 @@ def cmd_lrp_inspect(args, cfg: ExperimentConfig) -> int:
         targets = [int(t) for t in clf.predict(encoded)]
     else:
         targets = [int(args.target_style)] * len(sentences)
-    # the run's eta was calibrated on the run's classifier, not on --classifier,
-    # and under the run's epsilon
-    eta = epsilon = None
-    if not args.classifier:
-        eta, epsilon = run_lrp(run_dir)
+    # the run's mapping was calibrated on the run's classifier, not on
+    # --classifier; --eta stands for lrp.eta
+    stage1 = run_dir / "stage1.ckpt"
     if args.eta:
-        eta, epsilon = float(args.eta), None
-    if eta is None:
-        eta = resolve_eta(cfg, clf, LabeledCorpus(encoded, targets))
+        cfg.lrp.eta = float(args.eta)
+    if args.eta or args.classifier or not stage1.exists():
+        lrp = resolve_lrp(cfg, clf, LabeledCorpus(encoded, targets))
+    else:
+        lrp = stage1_lrp(stage1)
     if args.epsilon is not None:
-        epsilon = args.epsilon
-    elif epsilon is None:
-        epsilon = cfg.lrp.epsilon
+        lrp = replace(lrp, epsilon=args.epsilon)
     relevance = [None] * len(sentences)
     for rows, batch in length_ordered_batches(encoded, 64, targets):
         wr = hard_word_relevance(clf, batch.enc_ids, batch.lengths, batch.labels,
-                                 eta=eta, epsilon=epsilon, stabilizer=cfg.lrp.stabilizer)
+                                 eta=lrp.eta, epsilon=lrp.epsilon, stabilizer=lrp.stabilizer)
         for i, (row, n) in enumerate(zip(rows, batch.lengths)):
             relevance[row] = wr.lam.values[i, :n], wr.raw.values[i, :n]
     records = []
@@ -419,7 +430,7 @@ def cmd_lrp_inspect(args, cfg: ExperimentConfig) -> int:
         records.append({"sentence": sentence, "target_style": target, "tokens": tokens,
                         "lambda": [round(float(x), 6) for x in lam],
                         "raw_relevance": [round(float(x), 8) for x in raw],
-                        "eta": eta, "epsilon": epsilon})
+                        "eta": lrp.eta, "epsilon": lrp.epsilon})
     write_text_atomic(run_dir / "relevance.jsonl",
                       "".join(json.dumps(rec) + "\n" for rec in records))
     return 0
@@ -453,7 +464,7 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
     if variant.nsc:
         model = run_stage2(run_dir, cfg, vocab)
     else:
-        model, _ = load_stage1(run_dir, cfg, vocab)
+        model = load_stage1(run_dir, cfg, vocab)
     sentences = [vocab.decode(s) for s in test.sentences]
     report, _ = evaluate_transfer(model, clf, vocab, sentences, test.labels,
                                   references, max_len=cfg.data.max_len, **variant.decoding)
@@ -482,7 +493,7 @@ def read_references(cfg: ExperimentConfig, files: str, key: str, n: int,
         raise CliError(f"{key} must list reference files")
     cols = []
     for p in paths:
-        col = maybe_lower(read_sentences(require(Path(p), "reference file")), cfg)
+        col = maybe_lower(read_lines(require(Path(p), "reference file")), cfg)
         if len(col) != n:
             raise CliError(f"reference file {p} has {len(col)} lines for the {n} {what}")
         cols.append(col)
@@ -549,11 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-style", default="pred",
                    help="0, 1, or 'pred' for the classifier's own prediction")
     p.add_argument("--eta", default=None,
-                   help="scaling factor (default: the run's stage-1 eta, else, or with "
-                        "--classifier, calibrated on the input against the explained labels)")
+                   help="scaling factor, mapped with lrp.epsilon and lrp.stabilizer "
+                        "(default: the eta, epsilon and stabilizer the run's stage1.ckpt "
+                        "records, else, or with --classifier, [lrp]'s, an 'auto' eta "
+                        "calibrated on the input against the explained labels)")
     p.add_argument("--epsilon", type=float, default=None,
-                   help="relevance mapping epsilon (default: the stage-1 checkpoint's when "
-                        "the run's eta is used, else lrp.epsilon)")
+                   help="relevance mapping epsilon, in place of the stage-1 checkpoint's "
+                        "or lrp.epsilon")
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference check of the losses stage2.ablation trains")

@@ -20,7 +20,7 @@ from restyle.base import derive_seed
 from restyle.language_model import DirectionalLanguageModel
 from restyle.seq2seq import Seq2seqModel
 from restyle.textcnn import TextCnnStyleClassifier
-from restyle.training import VARIANTS, LrpConfig, Stage1Config, Stage2Config
+from restyle.training import VARIANTS, Stage1Config, Stage2Config
 
 
 @dataclass
@@ -93,15 +93,6 @@ class ExperimentConfig:
             out[name] = {k: list(v) if isinstance(v, tuple) else v
                          for k, v in asdict(getattr(self, name)).items()}
         return out
-
-    def lrp_config(self, calibrated_eta: float | None = None) -> LrpConfig:
-        if self.lrp.eta == "auto":
-            if calibrated_eta is None:
-                raise ValueError("lrp.eta is 'auto' but no calibrated value was supplied")
-            eta = calibrated_eta
-        else:
-            eta = float(self.lrp.eta)
-        return LrpConfig(eta=eta, epsilon=self.lrp.epsilon, stabilizer=self.lrp.stabilizer)
 
 
 def _coerce(current, raw: str):

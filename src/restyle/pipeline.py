@@ -1,12 +1,17 @@
 """End-to-end estimator and the stage functions it shares with the CLI.
 
 Each ``train_*`` function runs one stage of the system from an
-``ExperimentConfig``: the style classifier, stage 1 (eta, relevance targets,
-reconstruction model), the four directional language models, and stage 2.
-Every hyperparameter comes from the stage's config section and every seed from
-``ExperimentConfig.seed_for`` or the resolved stage seeds, so
+``ExperimentConfig``: the style classifier, stage 1 (LRP mapping, relevance
+targets, reconstruction model), the four directional language models, and
+stage 2. Every hyperparameter comes from the stage's config section and every
+seed from ``ExperimentConfig.seed_for`` or the resolved stage seeds, so
 ``StyleTransferPipeline.fit`` and the ``train-*`` subcommands train the same
 models from the same corpus and config.
+
+The LRP mapping (eta, epsilon, stabilizer) is decided once, by
+``resolve_lrp`` in stage 1, and travels as one ``LrpConfig``: ``train_stage1``
+returns the one its targets used and ``train_stage2`` takes it, so stage 2
+maps relevance as the head it fine-tunes learned to predict.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from restyle.lrp import calibrate_eta
 from restyle.metrics import MetricReport, build_report, corpus_bleu, transfer_accuracy
 from restyle.seq2seq import Seq2seqModel
 from restyle.textcnn import TextCnnStyleClassifier
-from restyle.training import LambdaTargetCache, Stage1Trainer, Stage2Trainer, TrainLog
+from restyle.training import (LambdaTargetCache, LrpConfig, Stage1Trainer, Stage2Trainer,
+                              TrainLog)
 
 
 class StyleTransferPipeline(ParamMixin):
@@ -52,14 +58,14 @@ class StyleTransferPipeline(ParamMixin):
             dev = encode_corpus(cfg, self.vocab_, X_dev, y_dev.tolist())
         V = len(self.vocab_)
         self.classifier_ = train_classifier(cfg, V, train)
-        self.model_, eta, self.stage1_metrics_ = train_stage1(cfg, V, self.classifier_,
-                                                              train, dev)
-        self.lrp_config_ = cfg.lrp_config(calibrated_eta=eta)
+        self.model_, self.lrp_config_, self.stage1_metrics_ = train_stage1(
+            cfg, V, self.classifier_, train, dev)
         self.lms_ = {}
         if cfg.stage2.variant.nsc:
             if cfg.stage2.uses_lms:
                 self.lms_ = train_language_models(cfg, V, train)
-            train_stage2(cfg, self.model_, self.classifier_, self.lms_, eta, train)
+            train_stage2(cfg, self.model_, self.classifier_, self.lms_, self.lrp_config_,
+                         train)
         return self
 
     def transform(self, X, target_style: int, return_relevance: bool = False):
@@ -88,13 +94,16 @@ def encode_corpus(cfg: ExperimentConfig, vocab: Vocabulary, sentences, labels) -
     return LabeledCorpus([vocab.encode(s) for s in maybe_lower(sentences, cfg)], list(labels))
 
 
-def resolve_eta(cfg: ExperimentConfig, clf: TextCnnStyleClassifier, corpus: LabeledCorpus) -> float:
-    """``lrp.eta``, or with 'auto' the eta calibrated on ``corpus``'s labels."""
-    if cfg.lrp.eta == "auto":
-        return calibrate_eta(clf, corpus.sentences, corpus.labels,
-                             target_lambda=cfg.lrp.eta_target,
-                             stabilizer=cfg.lrp.stabilizer, seed=cfg.seed_for("eta"))
-    return float(cfg.lrp.eta)
+def resolve_lrp(cfg: ExperimentConfig, clf: TextCnnStyleClassifier,
+                corpus: LabeledCorpus) -> LrpConfig:
+    """The mapping ``[lrp]`` names: its epsilon and stabilizer, and ``lrp.eta``
+    or, with 'auto', the eta calibrated for ``clf`` on ``corpus``'s labels."""
+    eta = cfg.lrp.eta
+    if eta == "auto":
+        eta = calibrate_eta(clf, corpus.sentences, corpus.labels,
+                            target_lambda=cfg.lrp.eta_target,
+                            stabilizer=cfg.lrp.stabilizer, seed=cfg.seed_for("eta"))
+    return LrpConfig(eta=float(eta), epsilon=cfg.lrp.epsilon, stabilizer=cfg.lrp.stabilizer)
 
 
 def train_classifier(cfg: ExperimentConfig, vocab_size: int,
@@ -107,16 +116,16 @@ def train_classifier(cfg: ExperimentConfig, vocab_size: int,
 def train_stage1(cfg: ExperimentConfig, vocab_size: int, clf: TextCnnStyleClassifier,
                  train: LabeledCorpus, dev: LabeledCorpus | None = None,
                  log: TrainLog | None = None):
-    """Resolve eta, precompute the relevance targets and train the sequence
-    model. Returns ``(model, eta, metrics)``, the metrics on ``dev`` (on
-    ``train`` when there is none)."""
-    eta = resolve_eta(cfg, clf, train)
-    cache = LambdaTargetCache(clf, cfg.lrp_config(calibrated_eta=eta))
+    """Resolve the LRP mapping, precompute the relevance targets and train the
+    sequence model. Returns ``(model, lrp, metrics)``, the metrics on ``dev``
+    (on ``train`` when there is none)."""
+    lrp = resolve_lrp(cfg, clf, train)
+    cache = LambdaTargetCache(clf, lrp)
     cache.precompute(train)
     model = Seq2seqModel(vocab_size, seed=cfg.seed_for("stage1-init"), **asdict(cfg.model))
     trainer = Stage1Trainer(model, clf, cache, cfg.stage1, train, dev_corpus=dev, log=log)
     trainer.train()
-    return model, eta, trainer.evaluate(dev if dev is not None else train)
+    return model, lrp, trainer.evaluate(dev if dev is not None else train)
 
 
 def train_language_models(cfg: ExperimentConfig, vocab_size: int, train: LabeledCorpus,
@@ -136,12 +145,12 @@ def train_language_models(cfg: ExperimentConfig, vocab_size: int, train: Labeled
 
 
 def train_stage2(cfg: ExperimentConfig, model: Seq2seqModel, clf: TextCnnStyleClassifier,
-                 lms: dict, eta: float, train: LabeledCorpus,
+                 lms: dict, lrp: LrpConfig, train: LabeledCorpus,
                  log: TrainLog | None = None) -> Stage2Trainer:
-    """Fine-tune ``model`` in place under ``cfg.stage2``; returns the trainer."""
-    lrp_cfg = cfg.lrp_config(calibrated_eta=eta)
-    trainer = Stage2Trainer(model, clf, lms, LambdaTargetCache(clf, lrp_cfg), cfg.stage2,
-                            lrp_cfg, train, log=log)
+    """Fine-tune ``model`` in place under ``cfg.stage2`` and the mapping ``lrp``
+    its stage 1 trained with; returns the trainer."""
+    trainer = Stage2Trainer(model, clf, lms, LambdaTargetCache(clf, lrp), cfg.stage2, lrp,
+                            train, log=log)
     trainer.train()
     return trainer
 

@@ -255,6 +255,57 @@ class TestPipelineCommands:
         assert load_checkpoint(work / "stage2.nsc-lambda.ckpt")[0]["ablation"] == "nsc-lambda"
         capsys.readouterr()
 
+    def test_05g_stage2_follows_the_stage1_lrp_mapping(self, cli_env, capsys, tmp_path):
+        from restyle.checkpoint import load_checkpoint
+        from restyle.cli import load_model
+        from restyle.data import Vocabulary, pack_batch
+        from restyle.lrp import hard_word_relevance
+
+        mapping = ["--set", "lrp.epsilon=0.5", "--set", "lrp.stabilizer=1e-6"]
+        names = ["vocab.txt", "classifier.ckpt", *LM_NAMES]
+        run = copy_run(cli_env, tmp_path / "run", names)
+        same = copy_run(cli_env, tmp_path / "same", names)
+
+        def cli(run_dir, *argv):
+            assert main(["--config", cli_env["config"], "--run-dir", str(run_dir),
+                         *argv]) == 0
+
+        cli(run, *mapping, "--set", "stage1.epochs=1", "train-stage1")
+        (same / "stage1.ckpt").write_bytes((run / "stage1.ckpt").read_bytes())
+        cli(run, "train-stage2")   # under this config's lrp.epsilon and lrp.stabilizer
+        cli(same, *mapping, "train-stage2")
+        recorded = {k: load_checkpoint(run / "stage1.ckpt")[0][k]
+                    for k in ("eta", "epsilon", "stabilizer")}
+        assert recorded["epsilon"] == 0.5 and recorded["stabilizer"] == 1e-6
+        header = load_checkpoint(run / "stage2.ckpt")[0]
+        assert {k: header[k] for k in recorded} == recorded
+        assert checkpoint_hash(run / "stage2.ckpt") == checkpoint_hash(same / "stage2.ckpt")
+
+        # lrp-inspect maps with the recorded mapping, stabilizer included
+        src = tmp_path / "inspect_in.txt"
+        src.write_text("".join(line + "\n" for line in cli_env["corpus"].dev_sentences[:6]))
+        cli(run, "lrp-inspect", "--input", str(src))
+        capsys.readouterr()
+        records = [json.loads(line) for line in
+                   (run / "relevance.jsonl").read_text().splitlines()]
+        vocab = Vocabulary.load(run / "vocab.txt")
+        clf, _ = load_model(run / "classifier.ckpt", "classifier", vocab)
+        moved = []
+        for record in records:
+            assert (record["eta"], record["epsilon"]) == (recorded["eta"], 0.5)
+            batch = pack_batch([vocab.encode(record["sentence"])],
+                               min_width=max(clf.filter_widths))
+
+            def raw(stabilizer):
+                values = hard_word_relevance(clf, batch.enc_ids, batch.lengths,
+                                             record["target_style"], eta=recorded["eta"],
+                                             epsilon=0.5, stabilizer=stabilizer).raw.values
+                return [round(float(x), 8) for x in values[0, :len(record["tokens"])]]
+
+            assert record["raw_relevance"] == raw(1e-6)
+            moved.append(record["raw_relevance"] != raw(1e-9))
+        assert any(moved)   # the stabilizer shows at this rounding
+
     def test_05f_transfer_decodes_a_checkpoint_as_ablate_scores_it(self, cli_env, capsys,
                                                                   tmp_path, monkeypatch):
         import restyle.cli as cli_module
@@ -296,6 +347,48 @@ class TestPipelineCommands:
         assert set(records[0]) == {"input", "output_tokens", "lambda"}
         assert len(records[0]["lambda"]) == len(records[0]["output_tokens"])
         assert "\t" in out  # token<TAB>lambda lines
+
+    def test_06b_transfer_records_only_an_output_inside_the_run(self, cli_env, capsys,
+                                                                tmp_path):
+        from restyle.checkpoint import file_hash
+
+        work = copy_run(cli_env, tmp_path / "run", ["vocab.txt", "stage2.ckpt"])
+        (work / "manifest.json").write_text("{}")
+        src = tmp_path / "in.txt"
+        src.write_text("the food was awful .\n")
+
+        def transfer(out):
+            assert main(["--config", cli_env["config"], "--run-dir", str(work), "transfer",
+                         "--target-style", "1", "--input", str(src),
+                         "--output", str(out)]) == 0
+            assert len(out.read_text().splitlines()) == 1
+            return json.loads((work / "manifest.json").read_text()).get("artifacts", {})
+
+        assert transfer(tmp_path / "out.txt") == {}
+        inside = work / "sub" / "out.txt"
+        assert transfer(inside) == {"sub/out.txt": file_hash(inside)}
+        capsys.readouterr()
+
+    def test_06c_transfer_keeps_blank_input_lines(self, cli_env, capsys, tmp_path):
+        work = copy_run(cli_env, tmp_path / "run", ["vocab.txt", "stage2.ckpt"])
+        first, last = "the food was awful .", "my room looked dreadful today ."
+
+        def transfer(lines):
+            src = tmp_path / "in.txt"
+            src.write_text("".join(line + "\n" for line in lines))
+            assert main(["--config", cli_env["config"], "--run-dir", str(work), "transfer",
+                         "--target-style", "1", "--input", str(src),
+                         "--dump-relevance"]) == 0
+            capsys.readouterr()
+            records = [json.loads(line) for line in
+                       (work / "relevance.jsonl").read_text().splitlines()]
+            return (work / "outputs.txt").read_text().split("\n")[:-1], records
+
+        outputs, records = transfer([first, last])
+        gapped, gapped_records = transfer([first, "", last])
+        assert gapped == [outputs[0], "", outputs[1]]
+        assert gapped_records == [records[0], {"input": "", "output_tokens": [],
+                                               "lambda": []}, records[1]]
 
     def test_07_evaluate_outputs(self, cli_env, capsys):
         run_dir = Path(cli_env["run_dir"])
@@ -350,6 +443,20 @@ class TestPipelineCommands:
         assert metrics["acc"] == pytest.approx(100.0 * hits / 3)
         assert metrics["bleu"] == pytest.approx(
             corpus_bleu([first, "", last], [[first], [first], [last]]))
+
+    def test_07d_evaluate_counts_blank_reference_lines(self, cli_env, capsys, tmp_path):
+        work = copy_run(cli_env, tmp_path / "run", ["vocab.txt", "classifier.ckpt"])
+        first, last = (s.lower() for s in cli_env["corpus"].dev_sentences[:2])
+        outputs = tmp_path / "outputs.txt"
+        outputs.write_text(f"{first}\n{last}\n")
+        refs = tmp_path / "refs.txt"
+        refs.write_text(f"{first}\n\n{last}\n")
+        rc = main(["--config", cli_env["config"], "--run-dir", str(work), "evaluate",
+                   "--outputs", str(outputs), "--refs", str(refs), "--target-style", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"reference file {refs} has 3 lines for the 2 outputs" in err
+        assert not (work / "metrics.json").exists()
 
     def test_08_metrics_recomputable_from_artifacts(self, cli_env, capsys):
         run_dir = Path(cli_env["run_dir"])
@@ -856,7 +963,8 @@ class TestCheckpoints:
     @pytest.mark.parametrize("kind", KINDS)
     def test_parent_format_header_loads(self, kind, vocab, tmp_path):
         from restyle.checkpoint import params_hash, save_checkpoint
-        from restyle.cli import load_model
+        from restyle.cli import load_model, stage1_lrp
+        from restyle.training import LrpConfig
 
         model = small_model(kind, len(vocab))
         header = {"kind": kind, "vocab_hash": vocab.content_hash(), "config_hash": "0"}
@@ -871,6 +979,8 @@ class TestCheckpoints:
         for key in PARENT_HEADER_KEYS[kind]:
             assert getattr(loaded, key) == getattr(model, key)
         assert params_hash(loaded.parameters()) == params_hash(model.parameters())
+        if kind == "seq2seq":   # a header without the stabilizer has the default one
+            assert stage1_lrp(path) == LrpConfig(eta=0.5, epsilon=0.3, stabilizer=1e-9)
 
     def test_wrong_kind_and_vocabulary_named(self, vocab, tmp_path):
         from restyle.cli import CliError, load_model, save_model

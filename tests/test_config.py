@@ -108,11 +108,27 @@ filter_widths = 2, 3
         with pytest.raises(ValueError, match="nonnegative"):
             load_config(write_cfg(tmp_path, "[stage2]\nalpha = -1\n"))
 
-    def test_lrp_config_auto_requires_calibration(self):
-        cfg = ExperimentConfig()
-        with pytest.raises(ValueError, match="auto"):
-            cfg.lrp_config()
-        assert cfg.lrp_config(calibrated_eta=0.5).eta == 0.5
+    def test_resolve_lrp_calibrates_only_an_auto_eta(self, small_classifier, encoded_dev,
+                                                      monkeypatch):
+        import restyle.pipeline as pipeline_module
+        from restyle.lrp import calibrate_eta
+        from restyle.training import LrpConfig
+
+        mapping = {"lrp.epsilon": "0.4", "lrp.stabilizer": "1e-6"}
+        cfg = load_config(None, mapping)
+        eta = calibrate_eta(small_classifier, encoded_dev.sentences, encoded_dev.labels,
+                            target_lambda=cfg.lrp.eta_target, stabilizer=1e-6,
+                            seed=cfg.seed_for("eta"))
+        assert pipeline_module.resolve_lrp(cfg, small_classifier, encoded_dev) == \
+            LrpConfig(eta=eta, epsilon=0.4, stabilizer=1e-6)
+
+        def calibrate(*args, **kwargs):
+            raise AssertionError("a numeric lrp.eta was calibrated")
+
+        monkeypatch.setattr(pipeline_module, "calibrate_eta", calibrate)
+        cfg = load_config(None, {**mapping, "lrp.eta": "2.5"})
+        assert pipeline_module.resolve_lrp(cfg, small_classifier, encoded_dev) == \
+            LrpConfig(eta=2.5, epsilon=0.4, stabilizer=1e-6)
 
     def test_pickles(self):
         import pickle

@@ -120,9 +120,9 @@ class TestAblationVariants:
         stage1_hash = []
 
         def record_stage1(*args, **kwargs):
-            model, eta, metrics = train_stage1(*args, **kwargs)
+            model, lrp, metrics = train_stage1(*args, **kwargs)
             stage1_hash.append(params_hash(model.params))
-            return model, eta, metrics
+            return model, lrp, metrics
 
         monkeypatch.setattr(pipeline_module, "train_stage1", record_stage1)
         cfg = load_config(None, {**SMALL_RUN, "stage2.ablation": "no-nsc"})
