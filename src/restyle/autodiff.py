@@ -561,36 +561,45 @@ def take_along_last(a: Tensor, ids: np.ndarray) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def unfold(a: Tensor, width: int) -> Tensor:
-    """Sliding windows along axis 1: (B, T, E) -> (B, T-width+1, width, E)."""
-    B, T, E = a.shape
+def shift_sum(a: Tensor, width: int) -> Tensor:
+    """Sum of ``width`` column blocks, each shifted one step further along axis 1:
+    (B, T, width*F) -> (B, T-width+1, F), with
+
+        out[:, p] = sum_j a[:, p+j, j*F:(j+1)*F].
+
+    With ``a = x @ W_blocks``, whose blocks hold a width-w filter's per-offset
+    rows, this is that filter's convolution over x. Its adjoint is
+    ``shift_spread``."""
+    B, T, C = a.shape
     if T < width:
-        raise ValueError(f"unfold: sequence length {T} shorter than window width {width}")
-    P = T - width + 1
-    windows = np.lib.stride_tricks.sliding_window_view(a.values, width, axis=1)
-    out = np.ascontiguousarray(np.swapaxes(windows, -1, -2))
+        raise ValueError(f"shift_sum: sequence length {T} shorter than width {width}")
+    P, F = T - width + 1, C // width
+    out = a.values[:, :P, :F].copy()
+    for j in range(1, width):
+        out += a.values[:, j:j + P, j * F:(j + 1) * F]
 
     def bwd(g):
         if a.requires_grad:
-            # descending offsets add each position's windows in ascending p
-            for j in reversed(range(width)):
-                a.grad[:, j:j + P] += g[:, :, j]
+            for j in range(width):
+                a.grad[:, j:j + P, j * F:(j + 1) * F] += g
 
     return _node(out, (a,), bwd)
 
 
-def fold(a: Tensor, length: int) -> Tensor:
-    """Overlap-add of windows back onto the sequence: (B, P, w, E) -> (B, length, E)."""
-    B, P, w, E = a.shape
-    out = np.zeros((B, length, E))
-    # descending offsets add each position's windows in ascending p
-    for j in reversed(range(w)):
-        out[:, j:j + P] += a.values[:, :, j]
+def shift_spread(a: Tensor, width: int, length: int) -> Tensor:
+    """The adjoint of ``shift_sum``: (B, P, F) -> (B, length, width*F),
+    with out[:, p+j, j*F:(j+1)*F] = a[:, p] and zeros where no p reaches."""
+    B, P, F = a.shape
+    if length < P + width - 1:
+        raise ValueError(f"shift_spread: length {length} shorter than {P + width - 1}")
+    out = np.zeros((B, length, width * F))
+    for j in range(width):
+        out[:, j:j + P, j * F:(j + 1) * F] = a.values
 
     def bwd(g):
         if a.requires_grad:
-            for j in range(w):
-                a.grad[:, :, j] += g[:, j:j + P]
+            for j in range(width):
+                a.grad += g[:, j:j + P, j * F:(j + 1) * F]
 
     return _node(out, (a,), bwd)
 

@@ -361,11 +361,15 @@ def cmd_transfer(args, cfg: ExperimentConfig) -> int:
                           "".join(json.dumps(rec) + "\n" for rec in records))
     for line in decoded:
         print(line)
+    artifacts = {}
+    if args.dump_relevance:
+        artifacts["relevance.jsonl"] = file_hash(run_dir / "relevance.jsonl")
     # an output file is a run artifact only inside the run directory
     out, run = out_path.resolve(), run_dir.resolve()
-    if run in out.parents and run_dir.joinpath("manifest.json").exists():
-        update_manifest(run_dir, cfg, {
-            "artifacts": {out.relative_to(run).as_posix(): file_hash(out_path)}})
+    if run in out.parents:
+        artifacts[out.relative_to(run).as_posix()] = file_hash(out_path)
+    if artifacts and run_dir.joinpath("manifest.json").exists():
+        update_manifest(run_dir, cfg, {"artifacts": artifacts})
     return 0
 
 
@@ -431,8 +435,12 @@ def cmd_lrp_inspect(args, cfg: ExperimentConfig) -> int:
                         "lambda": [round(float(x), 6) for x in lam],
                         "raw_relevance": [round(float(x), 8) for x in raw],
                         "eta": lrp.eta, "epsilon": lrp.epsilon})
-    write_text_atomic(run_dir / "relevance.jsonl",
+    # its own file: transfer --dump-relevance writes relevance.jsonl
+    write_text_atomic(run_dir / "lrp_inspect.jsonl",
                       "".join(json.dumps(rec) + "\n" for rec in records))
+    if run_dir.joinpath("manifest.json").exists():
+        update_manifest(run_dir, cfg, {
+            "artifacts": {"lrp_inspect.jsonl": file_hash(run_dir / "lrp_inspect.jsonl")}})
     return 0
 
 

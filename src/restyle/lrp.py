@@ -1,19 +1,27 @@
 """Layer-wise relevance propagation through the style classifier.
 
-Relevance flows from the target-class logit back to per-token embedding
-coordinates with the proportional z-rule: each output neuron's relevance is
-split across its inputs as z_kk' / sum_k'' z_k''k', where z_kk' is the input
-value times the connecting weight. Nonlinear activations pass relevance
-through unchanged; max-over-time pooling routes it to the winning window.
+Relevance flows from the target-class logit back to the input tokens with the
+proportional z-rule: each output neuron's relevance is split across its inputs
+as z_kk' / sum_k'' z_k''k', where z_kk' is the input value times the
+connecting weight. Nonlinear activations pass relevance through unchanged;
+max-over-time pooling routes it to the winning window.
 
 The rule is evaluated in matrix form, never building the per-edge z_kk'
-tensor: z = a W sums each column, s = r / z scales the output relevance,
-c = s W^T carries it back, and r_in = a * c (Montavon et al. 2019, 10.2).
+tensor (Montavon et al. 2019, 10.2). Across the dense output layer,
+z = a W sums each column, s = r / z scales the output relevance,
+c = s W^T carries it back, and r_in = a * c. Across a width-w convolution the
+classifier's trace already holds each token's partial products
+Y[b, t, block(w, j)] = emb[b, t] @ conv{w}.w[j*E:(j+1)*E] and their shifted
+sums z_w; so s = r / z_w, and token t = p + j of window p receives
+sum_f s[b, p, f] * Y[b, t, block(w, j), f]. That is the embedding-coordinate
+relevance a * c summed over the token's E coordinates, which is all a word's
+relevance needs, so the relevance map is per token.
 
 Denominators are stabilized as sum + sign(sum) * delta with sign(0) = +1, so
 an all-zero column (e.g. padding embeddings) contributes exactly zero
 relevance. With the stabilizer disabled, a vanishing column's relevance is
-added back split uniformly over its inputs and the event is counted.
+added back split uniformly over its inputs (over a window's w tokens, for a
+convolution) and the event is counted.
 
 Everything is expressed in traced tensor ops, so the soft-word pipeline stays
 differentiable with respect to the generated probability rows.
@@ -32,9 +40,12 @@ from restyle.textcnn import ClassifierTrace, TextCnnStyleClassifier
 
 @dataclass
 class RelevanceMap:
-    """Layer-0 relevance of one batch of inputs."""
+    """Input-layer relevance of one batch: one signed value per token, the
+    target-class logit's share that the z-rule assigns to it. Over a sentence
+    these sum to the logit, up to the stabilizer's leak. ``fallback_events``
+    counts the dead columns split uniformly with the stabilizer off."""
 
-    r_embedding: Tensor      # (B, T, E) relevance per embedding coordinate
+    r_token: Tensor          # (B, T) relevance per token
     fallback_events: int = 0
 
 
@@ -45,6 +56,19 @@ class WordRelevance:
 
     lam: Tensor              # (B, T)
     raw: Tensor              # (B, T) signed raw relevance per token
+
+
+def _stabilized_ratio(r_out: Tensor, z: Tensor, stabilizer: float):
+    """s = r_out / (z +- stab), and the dead-column mask (z == 0) that the
+    caller splits uniformly when the stabilizer is off (None when it is on)."""
+    if stabilizer > 0.0:
+        shift = np.where(z.values >= 0.0, stabilizer, -stabilizer)
+        return r_out / (z + constant(shift)), None
+    dead = (z.values == 0.0).astype(float)
+    s = r_out / (z + constant(dead))
+    if dead.any():
+        s = s * constant(1.0 - dead)
+    return s, dead
 
 
 def zrule_backward(v_in: Tensor, weights: Tensor, r_out: Tensor,
@@ -60,28 +84,19 @@ def zrule_backward(v_in: Tensor, weights: Tensor, r_out: Tensor,
     a dead column (z == 0) contributes nothing through s; its relevance is
     instead added back split uniformly, sum_dead(r_out) / K_in per input.
     """
-    k_in = weights.shape[0]
-    z = ad.matmul(v_in, weights)
-    fallbacks = 0
-    if stabilizer > 0.0:
-        shift = np.where(z.values >= 0.0, stabilizer, -stabilizer)
-        s = r_out / (z + constant(shift))
-    else:
-        dead = (z.values == 0.0).astype(float)
-        fallbacks = int(dead.sum())
-        s = r_out / (z + constant(dead))
-        if fallbacks:
-            s = s * constant(1.0 - dead)
+    s, dead = _stabilized_ratio(r_out, ad.matmul(v_in, weights), stabilizer)
     r_in = v_in * ad.matmul(s, ad.swap_last_axes(weights))
+    fallbacks = 0 if dead is None else int(dead.sum())
     if fallbacks:
-        r_in = r_in + (r_out * constant(dead)).sum(axis=-1, keepdims=True) * (1.0 / k_in)
+        lost = (r_out * constant(dead)).sum(axis=-1, keepdims=True)
+        r_in = r_in + lost * (1.0 / weights.shape[0])
     return r_in, fallbacks
 
 
 def propagate(clf: TextCnnStyleClassifier, trace: ClassifierTrace,
               target_class, stabilizer: float = 1e-9) -> RelevanceMap:
-    """Decompose the target-class logit into per-embedding-coordinate relevance."""
-    B, T, E = trace.emb.shape
+    """Decompose the target-class logit into per-token relevance."""
+    B = trace.logits.shape[0]
     tc = np.broadcast_to(np.asarray(target_class, dtype=np.int64), (B,)).copy()
     onehot = np.zeros((B, 2))
     onehot[np.arange(B), tc] = 1.0
@@ -89,30 +104,32 @@ def propagate(clf: TextCnnStyleClassifier, trace: ClassifierTrace,
 
     r_feats, events = zrule_backward(trace.features, clf.params_["out.w"],
                                      r_logits, stabilizer)
-    r_emb = None
-    offset = 0
     F = clf.num_filters
-    for w in clf.filter_widths:
-        P = trace.windows[w].shape[1]
-        r_pool = ad.narrow(r_feats, 1, offset, F)
-        offset += F
-        route = np.zeros((B, P, F))
+    r_token = None
+    for i, w in enumerate(clf.filter_widths):
+        z, y = trace.z[w], trace.y[w]
+        T = y.shape[1]
+        route = np.zeros(z.shape)
         np.put_along_axis(route, trace.pool_argmax[w][:, None, :], 1.0, axis=1)
-        r_act = r_pool.reshape(B, 1, F) * constant(route)
-        # tanh is relevance-transparent; split across the window inputs
-        r_win, ev = zrule_backward(trace.windows[w], clf.params_[f"conv{w}.w"],
-                                   r_act, stabilizer)
-        events += ev
-        r_emb_w = ad.fold(r_win.reshape(B, P, w, E), T)
-        r_emb = r_emb_w if r_emb is None else r_emb + r_emb_w
-    return RelevanceMap(r_emb, events)
+        # tanh is relevance-transparent; the pool routes to the winning window
+        r_act = ad.narrow(r_feats, 1, i * F, F).reshape(B, 1, F) * constant(route)
+        s, dead = _stabilized_ratio(r_act, z, stabilizer)
+        # token p+j of window p gets sum_f s[p, f] * Y[p+j, block(w, j), f]
+        r_w = (ad.shift_spread(s, w, T) * y).sum(axis=-1)
+        if dead is not None and dead.any():
+            events += int(dead.sum())
+            # a dead column's relevance goes to its window's w tokens alike
+            lost = (r_act * constant(dead)).sum(axis=-1, keepdims=True) * (1.0 / w)
+            r_w = r_w + ad.shift_spread(lost, w, T).sum(axis=-1)
+        r_token = r_w if r_token is None else r_token + r_w
+    return RelevanceMap(r_token, events)
 
 
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 def word_relevance(rmap: RelevanceMap, eta: float, epsilon: float) -> WordRelevance:
-    """Map summed per-token relevance through tanh(eta*|r|), flooring values
+    """Map per-token relevance through tanh(eta*|r|), flooring values
     below epsilon to exactly zero.
 
     float64 tanh rounds to exactly 1.0 once eta*|r| exceeds ~18.7; those
@@ -123,7 +140,7 @@ def word_relevance(rmap: RelevanceMap, eta: float, epsilon: float) -> WordReleva
         raise ValueError(f"eta must be positive, got {eta}")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must be in [0,1), got {epsilon}")
-    raw = rmap.r_embedding.sum(axis=-1)
+    raw = rmap.r_token
     lam = ad.tanh(ad.absolute(raw) * eta)
     scale = (lam.values >= epsilon).astype(float)
     scale[lam.values == 1.0] = _BELOW_ONE
@@ -169,7 +186,7 @@ def calibrate_eta(clf: TextCnnStyleClassifier, sentences, labels,
             batch = pack_batch(chunk)
             rmap = propagate(clf, clf.forward_trace(batch.enc_ids, batch.lengths),
                              chunk_labels, stabilizer)
-            raw = np.abs(rmap.r_embedding.values.sum(axis=-1))
+            raw = np.abs(rmap.r_token.values)
             # the map is wider than the batch when the classifier padded it
             raw[np.arange(raw.shape[1])[None, :] >= batch.lengths[:, None]] = 0.0
             peaks.extend(raw.max(axis=1).tolist())

@@ -5,6 +5,11 @@ vocabulary probabilities); a soft row consumes the probability-weighted sum of
 embedding rows, so a one-hot soft sentence reproduces the hard path exactly.
 Convolution windows that would overlap padding are masked out of the
 max-over-time pool, which keeps the logits invariant to appended padding.
+
+The convolutions never build a window: one GEMM ``Y = emb @ W_all`` gives every
+token's partial product with each per-offset E-row block of every filter
+matrix, and a width-w pre-activation is the shifted sum of its w blocks,
+``z_w[b, p] = sum_j Y[b, p+j, block(w, j)]`` (``autodiff.shift_sum``).
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ class ClassifierTrace:
     """Per-layer activations cached by one forward pass, consumed by relevance
     propagation."""
 
-    emb: Tensor                 # (B, T, E) token embeddings (zero at PAD)
-    windows: dict               # width -> (B, P, w*E)
+    y: dict                     # width -> (B, T, w*F) per-offset partial products
+    z: dict                     # width -> (B, P, F) pre-activation without bias
     pool_argmax: dict           # width -> (B, F) winning window per filter
     features: Tensor            # (B, n_widths*F) pooled feature vector
     logits: Tensor              # (B, 2)
@@ -86,6 +91,13 @@ class TextCnnStyleClassifier(Estimator):
         emb = ad.matmul(rows, self.params_["emb"])
         return emb * constant(length_mask[:, :, None])
 
+    def _stacked_filters(self) -> Tensor:
+        """(E, sum_w w*F): each width's per-offset blocks conv{w}.w[j*E:(j+1)*E],
+        side by side in width order and then offset order."""
+        E = self.params_["emb"].shape[1]
+        return ad.concat([ad.narrow(self.params_[f"conv{w}.w"], 0, j * E, E)
+                          for w in self.filter_widths for j in range(w)], axis=1)
+
     def _forward_from_emb(self, emb: Tensor, lengths: np.ndarray) -> ClassifierTrace:
         B, T, E = emb.shape
         if T < max(self.filter_widths):
@@ -93,22 +105,24 @@ class TextCnnStyleClassifier(Estimator):
             pad = constant(np.zeros((B, max(self.filter_widths) - T, E)))
             emb = ad.concat([emb, pad], axis=1)
             T = emb.shape[1]
-        windows, argmaxes, pooled = {}, {}, []
+        F = self.num_filters
+        y_all = ad.matmul(emb, self._stacked_filters())
+        ys, zs, argmaxes, pooled = {}, {}, {}, []
+        start = 0
         for w in self.filter_widths:
-            P = T - w + 1
-            win = ad.unfold(emb, w).reshape(B, P, w * E)
-            pre = ad.matmul(win, self.params_[f"conv{w}.w"]) + self.params_[f"conv{w}.b"]
-            act = ad.tanh(pre)
+            ys[w] = ad.narrow(y_all, 2, start, w * F)
+            start += w * F
+            zs[w] = ad.shift_sum(ys[w], w)
+            act = ad.tanh(zs[w] + self.params_[f"conv{w}.b"])
             # windows sliding past the last real token never reach the pool
-            positions = np.arange(P)[None, :]
+            positions = np.arange(T - w + 1)[None, :]
             valid = (positions <= np.maximum(lengths, w)[:, None] - w).astype(float)
             masked = act + constant((valid[:, :, None] - 1.0) * ad.MASK_BIG)
             argmaxes[w] = np.argmax(masked.values, axis=1)
             pooled.append(ad.tmax(masked, axis=1, argmax=argmaxes[w]))
-            windows[w] = win
         feats = ad.concat(pooled, axis=1)
         logits = ad.matmul(feats, self.params_["out.w"]) + self.params_["out.b"]
-        return ClassifierTrace(emb, windows, argmaxes, feats, logits)
+        return ClassifierTrace(ys, zs, argmaxes, feats, logits)
 
     def forward_trace(self, ids: np.ndarray, lengths: np.ndarray) -> ClassifierTrace:
         check_fitted(self, "params_")

@@ -29,6 +29,57 @@ def naive_zrule(v_in, weights, r_out, stabilizer):
     return r_in
 
 
+def windowed_relevance(clf, emb, lengths, target_class, stabilizer):
+    """The classifier's z-rule as it ran over explicit windows, in numpy: each
+    width's (B, P, w*E) windows, r_in = windows * (s @ W^T) across the conv
+    layer, overlap-added back onto (B, T, E) and summed over E. ``emb`` is
+    the (B, T, E) embedding of the batch. Returns the (B, T) per-token
+    relevance, the fallback count and the (B, 2) logits; ``lrp.propagate``
+    must give the same relevance and count."""
+    p = {k: v.values for k, v in clf.params_.items()}
+    widths, F = clf.filter_widths, clf.num_filters
+    B, T, E = emb.shape
+    if T < max(widths):
+        emb = np.concatenate([emb, np.zeros((B, max(widths) - T, E))], axis=1)
+        T = max(widths)
+
+    def zrule(v, w, r):
+        z = v @ w
+        if stabilizer > 0.0:
+            return v * ((r / (z + np.where(z >= 0.0, stabilizer, -stabilizer))) @ w.T), 0
+        dead = z == 0.0
+        r_in = v * (np.where(dead, 0.0, r / np.where(dead, 1.0, z)) @ w.T)
+        return r_in + np.where(dead, r, 0.0).sum(-1, keepdims=True) / w.shape[0], int(dead.sum())
+
+    windows, argmax, feats = {}, {}, []
+    for w in widths:
+        P = T - w + 1
+        windows[w] = np.stack([emb[:, q:q + w].reshape(B, w * E) for q in range(P)], axis=1)
+        act = np.tanh(windows[w] @ p[f"conv{w}.w"] + p[f"conv{w}.b"])
+        valid = np.arange(P)[None, :] <= np.maximum(lengths, w)[:, None] - w
+        act = np.where(valid[:, :, None], act, -np.inf)
+        argmax[w] = act.argmax(axis=1)
+        feats.append(act.max(axis=1))
+    feats = np.concatenate(feats, axis=1)
+    logits = feats @ p["out.w"] + p["out.b"]
+    rows = np.arange(B)
+    tc = np.broadcast_to(np.asarray(target_class), (B,))
+    r_logits = np.zeros((B, 2))
+    r_logits[rows, tc] = logits[rows, tc]
+    r_feats, events = zrule(feats, p["out.w"], r_logits)
+    r_emb = np.zeros((B, T, E))
+    for i, w in enumerate(widths):
+        P = T - w + 1
+        r_act = np.zeros((B, P, F))
+        for f in range(F):
+            r_act[rows, argmax[w][:, f], f] = r_feats[:, i * F + f]
+        r_win, n = zrule(windows[w], p[f"conv{w}.w"], r_act)
+        events += n
+        for q in range(P):
+            r_emb[:, q:q + w] += r_win[:, q].reshape(B, w, E)
+    return r_emb.sum(axis=-1), events, logits
+
+
 def random_two_layer_net(rng, min_denom=1e-2):
     """Random sizes <= 8; redraw until every column denominator is bounded away
     from zero so the stabilizer's leakage stays below the measured tolerance."""

@@ -226,7 +226,7 @@ class TestCriterion2LrpOracle:
 
 class TestCriterion3RelevanceMapping:
     def _wr(self, raw, eta=1.0, eps=0.3):
-        rmap = RelevanceMap(constant(np.asarray(raw, dtype=float)[None, :, None]))
+        rmap = RelevanceMap(constant(np.asarray(raw, dtype=float)[None, :]))
         return word_relevance(rmap, eta, eps)
 
     def test_range_and_threshold(self, capsys):

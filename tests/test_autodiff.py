@@ -22,6 +22,8 @@ from restyle.autodiff import (
     matmul,
     parameter,
     place_rows,
+    shift_spread,
+    shift_sum,
     sigmoid,
     softmax,
     swap_last_axes,
@@ -31,8 +33,6 @@ from restyle.autodiff import (
     tmax,
     tmean,
     tsum,
-    unfold,
-    fold,
 )
 from restyle.seq2seq import GruCell
 
@@ -192,57 +192,80 @@ class TestIndexingOps:
             lambda: tsum(place_rows(tanh(take_rows(x, rows)), rows[::-1], 4) * w.values[:4]), [x])
         assert err < 1e-7
 
-    def test_unfold_fold_are_transposes(self):
+    def test_shift_sum_and_spread_match_fd(self):
         rng = np.random.default_rng(4)
-        x = parameter(rand(rng, 2, 5, 3))
+        x = parameter(rand(rng, 2, 5, 4))
+        s = parameter(rand(rng, 2, 4, 3))
+        cx = constant(rand(rng, 2, 4, 2))
+        cs = constant(rand(rng, 2, 6, 6))
 
         def loss_fn():
-            return tsum(fold(unfold(x, 2), 5))
+            return tsum(shift_sum(x, 2) * cx) + tsum(tanh(shift_spread(s, 2, 6)) * cs)
 
-        err = finite_difference_check(loss_fn, [x], max_coords_per_param=30)
+        err = finite_difference_check(loss_fn, [x, s], max_coords_per_param=30)
         assert err < 1e-7
 
-    @staticmethod
-    def _unfold_loop(x, width):
-        P = x.shape[1] - width + 1
-        return np.stack([x[:, p:p + width] for p in range(P)], axis=1)
+    def test_shift_spread_is_the_adjoint_of_shift_sum(self):
+        # <shift_sum(x), g> == <x, shift_spread(g)>
+        rng = np.random.default_rng(5)
+        x = rand(rng, 3, 8, 12)
+        g = rand(rng, 3, 6, 4)
+        lhs = (shift_sum(constant(x), 3).values * g).sum()
+        rhs = (x * shift_spread(constant(g), 3, 8).values).sum()
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @staticmethod
-    def _fold_loop(x, length):
-        out = np.zeros((x.shape[0], length, x.shape[3]))
-        for p in range(x.shape[1]):
-            out[:, p:p + x.shape[2]] += x[:, p]
+    def _shift_sum_loop(x, width):
+        P, F = x.shape[1] - width + 1, x.shape[2] // width
+        out = np.zeros((x.shape[0], P, F))
+        for p in range(P):
+            for j in range(width):
+                out[:, p] += x[:, p + j, j * F:(j + 1) * F]
+        return out
+
+    @staticmethod
+    def _shift_spread_loop(x, width, length):
+        B, P, F = x.shape
+        out = np.zeros((B, length, width * F))
+        for p in range(P):
+            for j in range(width):
+                out[:, p + j, j * F:(j + 1) * F] = x[:, p]
         return out
 
     @staticmethod
     def _spread(rng, *shape):
         # magnitudes over six decades, so a changed summation order shows in
-        # the last bits of the overlap-adds
+        # the last bits of the shifted sums
         return rand(rng, *shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
 
     @pytest.mark.parametrize("width", [1, 2, 4, 6])
-    def test_unfold_matches_loop_definition(self, width):
+    def test_shift_sum_matches_loop_definition(self, width):
         rng = np.random.default_rng(12)
-        x = parameter(self._spread(rng, 3, 9, 16))
-        out = unfold(x, width)
-        expected = self._unfold_loop(x.values, width)
+        x = parameter(self._spread(rng, 3, 9, width * 5))
+        out = shift_sum(x, width)
+        expected = self._shift_sum_loop(x.values, width)
         np.testing.assert_array_equal(out.values, expected)
-        assert out.values.flags["C_CONTIGUOUS"]
         g = self._spread(rng, *expected.shape)
         backward(tsum(out * constant(g)))
-        # the gradient is the loop's overlap-add, in the same summation order
-        np.testing.assert_array_equal(x.grad, self._fold_loop(g, 9))
+        # the gradient places each window's g on its blocks
+        np.testing.assert_array_equal(x.grad, self._shift_spread_loop(g, width, 9))
 
     @pytest.mark.parametrize("width,length", [(1, 9), (3, 9), (4, 11), (9, 9)])
-    def test_fold_matches_loop_definition(self, width, length):
+    def test_shift_spread_matches_loop_definition(self, width, length):
         rng = np.random.default_rng(13)
         P = 9 - width + 1
-        x = parameter(self._spread(rng, 3, P, width, 16))
-        out = fold(x, length)
-        np.testing.assert_array_equal(out.values, self._fold_loop(x.values, length))
-        g = self._spread(rng, 3, length, 16)
+        x = parameter(self._spread(rng, 3, P, 16))
+        out = shift_spread(x, width, length)
+        np.testing.assert_array_equal(out.values, self._shift_spread_loop(x.values, width, length))
+        g = self._spread(rng, 3, length, width * 16)
         backward(tsum(out * constant(g)))
-        np.testing.assert_array_equal(x.grad, self._unfold_loop(g[:, :9], width))
+        np.testing.assert_array_equal(x.grad, self._shift_sum_loop(g[:, :9], width))
+
+    def test_shift_ops_reject_short_sequences(self):
+        with pytest.raises(ValueError, match="shorter than width"):
+            shift_sum(constant(np.zeros((1, 2, 6))), 3)
+        with pytest.raises(ValueError, match="shorter than"):
+            shift_spread(constant(np.zeros((1, 4, 2))), 3, 5)
 
     def test_swap_last_axes_values(self):
         rng = np.random.default_rng(15)

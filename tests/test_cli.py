@@ -287,7 +287,7 @@ class TestPipelineCommands:
         cli(run, "lrp-inspect", "--input", str(src))
         capsys.readouterr()
         records = [json.loads(line) for line in
-                   (run / "relevance.jsonl").read_text().splitlines()]
+                   (run / "lrp_inspect.jsonl").read_text().splitlines()]
         vocab = Vocabulary.load(run / "vocab.txt")
         clf, _ = load_model(run / "classifier.ckpt", "classifier", vocab)
         moved = []
@@ -481,7 +481,7 @@ class TestPipelineCommands:
         for line in lines:
             tok, lam, raw = line.split("\t")
             float(lam), float(raw)
-        rel = Path(cli_env["run_dir"]) / "relevance.jsonl"
+        rel = Path(cli_env["run_dir"]) / "lrp_inspect.jsonl"
         record = json.loads(rel.read_text().splitlines()[0])
         assert set(record) >= {"sentence", "tokens", "lambda", "raw_relevance",
                                "eta", "epsilon"}
@@ -493,7 +493,7 @@ class TestPipelineCommands:
                    "lrp-inspect", "--input", str(src), *extra])
         assert rc == 0
         records = [json.loads(line) for line in
-                   (Path(run_dir) / "relevance.jsonl").read_text().splitlines()]
+                   (Path(run_dir) / "lrp_inspect.jsonl").read_text().splitlines()]
         assert len(records) == 6
         assert len({r["eta"] for r in records}) == 1
         return records[0]["eta"], [r["target_style"] for r in records]
@@ -580,7 +580,7 @@ class TestPipelineCommands:
         def inspect(run_dir, *extra, flags=()):
             assert main(["--config", cli_env["config"], "--run-dir", str(run_dir), *extra,
                          "lrp-inspect", "--input", str(src), *flags]) == 0
-            line = (run_dir / "relevance.jsonl").read_text().splitlines()[0]
+            line = (run_dir / "lrp_inspect.jsonl").read_text().splitlines()[0]
             return json.loads(line)["epsilon"]
 
         work = copy_run(cli_env, tmp_path / "run", ["vocab.txt", "classifier.ckpt"])
@@ -612,7 +612,7 @@ class TestPipelineCommands:
                      "--set", "lrp.stabilizer=0.5", "lrp-inspect", "--input", str(src)]) == 0
         capsys.readouterr()
         records = [json.loads(line) for line in
-                   (work / "relevance.jsonl").read_text().splitlines()]
+                   (work / "lrp_inspect.jsonl").read_text().splitlines()]
         eta, targets = records[0]["eta"], [r["target_style"] for r in records]
         cfg = load_config(cli_env["config"])
         vocab = Vocabulary.load(work / "vocab.txt")
@@ -645,7 +645,7 @@ class TestPipelineCommands:
         assert run_cli(cli_env, "lrp-inspect", "--input", str(src)) == 0
         out = capsys.readouterr().out
         records = [json.loads(line) for line in
-                   (Path(cli_env["run_dir"]) / "relevance.jsonl").read_text().splitlines()]
+                   (Path(cli_env["run_dir"]) / "lrp_inspect.jsonl").read_text().splitlines()]
         assert [r["sentence"] for r in records] == sentences
         assert [l.split("\t")[0] for l in out.splitlines() if l] == [
             tok for s in sentences for tok in s.split()]
@@ -660,6 +660,32 @@ class TestPipelineCommands:
                                         ("raw_relevance", wr.raw.values, 8)):
                 alone = [round(float(x), digits) for x in values[0, :len(ids)]]
                 np.testing.assert_allclose(record[key], alone, rtol=0, atol=1e-12)
+
+    def test_09i_lrp_inspect_and_transfer_dumps_coexist(self, cli_env, capsys, tmp_path):
+        from restyle.checkpoint import file_hash
+
+        work = copy_run(cli_env, tmp_path / "run", ["vocab.txt", "classifier.ckpt",
+                                                     "stage1.ckpt", "stage2.ckpt"])
+        (work / "manifest.json").write_text("{}")
+        src = tmp_path / "in.txt"
+        src.write_text("the food was awful .\nmy room looked dreadful today .\n")
+        common = ["--config", cli_env["config"], "--run-dir", str(work)]
+        assert main([*common, "transfer", "--target-style", "1", "--input", str(src),
+                     "--dump-relevance"]) == 0
+        dump = (work / "relevance.jsonl").read_text()
+        assert main([*common, "lrp-inspect", "--input", str(src)]) == 0
+        capsys.readouterr()
+        # lrp-inspect leaves transfer's dump as it was, and each schema has its file
+        assert (work / "relevance.jsonl").read_text() == dump
+        assert set(json.loads(dump.splitlines()[0])) == {"input", "output_tokens", "lambda"}
+        inspected = [json.loads(line)
+                     for line in (work / "lrp_inspect.jsonl").read_text().splitlines()]
+        assert [r["sentence"] for r in inspected] == src.read_text().splitlines()
+        assert set(inspected[0]) >= {"tokens", "lambda", "raw_relevance", "eta", "epsilon"}
+        artifacts = json.loads((work / "manifest.json").read_text())["artifacts"]
+        assert artifacts == {name: file_hash(work / name)
+                             for name in ("outputs.txt", "relevance.jsonl",
+                                          "lrp_inspect.jsonl")}
 
     def test_09d_evaluate_lowercases_references(self, cli_env, capsys, tmp_path):
         # data.lowercase defaults to true: outputs and references compare in lower case
@@ -731,7 +757,7 @@ class TestPipelineCommands:
             "outputs.txt": ["transfer", "--input", str(src)],
             "metrics.json": ["evaluate", "--outputs", str(corpus_dir / "test.style0.input.txt"),
                              "--refs", refs],
-            "relevance.jsonl": ["lrp-inspect", "--input", str(src)],
+            "lrp_inspect.jsonl": ["lrp-inspect", "--input", str(src)],
         }
 
         def crash(src, dst):

@@ -17,7 +17,7 @@ from restyle.lrp import (
 from restyle.textcnn import TextCnnStyleClassifier
 
 
-from _oracles import marker_positions, naive_zrule, random_two_layer_net
+from _oracles import marker_positions, naive_zrule, random_two_layer_net, windowed_relevance
 
 
 class TestZruleOracle:
@@ -158,8 +158,8 @@ class TestPropagate:
         with ad.no_grad():
             trace = small_classifier.forward_trace(ids, np.array([0]))
             rmap = propagate(small_classifier, trace, 1)
-        np.testing.assert_array_equal(rmap.r_embedding.values, np.zeros_like(
-            rmap.r_embedding.values))
+        assert rmap.r_token.shape == (1, 4)
+        np.testing.assert_array_equal(rmap.r_token.values, np.zeros((1, 4)))
 
     def test_relevance_conserved_through_network(self, small_classifier, encoded_dev):
         batch = pack_batch(encoded_dev.sentences[:4], min_width=4)
@@ -167,8 +167,69 @@ class TestPropagate:
             trace = small_classifier.forward_trace(batch.enc_ids, batch.lengths)
             rmap = propagate(small_classifier, trace, np.array(encoded_dev.labels[:4]))
         top = trace.logits.values[np.arange(4), encoded_dev.labels[:4]]
-        bottom = rmap.r_embedding.values.sum(axis=(1, 2))
-        np.testing.assert_allclose(bottom, top, rtol=1e-4)
+        assert rmap.r_token.shape == batch.enc_ids.shape
+        # PAD tokens embed to zero and receive none
+        assert not rmap.r_token.values[batch.enc_ids == PAD].any()
+        np.testing.assert_allclose(rmap.r_token.values.sum(axis=1), top, rtol=1e-4)
+
+    @staticmethod
+    def _dead_column_classifier():
+        """Random weights and biases, one zero column in the width-3 filters;
+        rows of length 7, 5, 2 and 0, so windows past a row's end, and the
+        whole last row, are all PAD."""
+        rng = np.random.default_rng(21)
+        clf = TextCnnStyleClassifier(vocab_size=20, embed_dim=6, num_filters=5, seed=4)
+        clf._init_params()
+        for w in clf.filter_widths:
+            clf.params_[f"conv{w}.b"].values[...] = rng.uniform(-0.3, 0.3, size=5)
+        clf.params_["conv3.w"].values[:, 2] = 0.0
+        lengths = np.array([7, 5, 2, 0])
+        ids = rng.integers(1, 20, size=(4, 7))
+        ids[np.arange(7)[None, :] >= lengths[:, None]] = PAD
+        return clf, ids, lengths
+
+    @pytest.mark.parametrize("stab", [1e-9, 0.0])
+    def test_per_token_relevance_matches_windowed_oracle(self, stab):
+        clf, ids, lengths = self._dead_column_classifier()
+        target = np.array([0, 1, 1, 0])
+        with ad.no_grad():
+            trace = clf.forward_trace(ids, lengths)
+            rmap = propagate(clf, trace, target, stab)
+        emb = clf.params_["emb"].values[ids]
+        expected, events, logits = windowed_relevance(clf, emb, lengths, target, stab)
+        np.testing.assert_allclose(trace.logits.values, logits, rtol=0, atol=1e-15)
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(rmap.r_token.values, expected, rtol=0, atol=1e-11 * scale)
+        assert rmap.fallback_events == events
+        if stab == 0.0:
+            # every column of each window that starts at or after its row's
+            # end (all PAD), and the zero column of every other width-3 window
+            P = {w: 7 - w + 1 for w in clf.filter_widths}
+            pad_windows = sum(max(P[w] - n, 0) for w in P for n in lengths)
+            live3 = sum(min(n, P[3]) for n in lengths)
+            assert (pad_windows, live3) == (25, 12)
+            assert events == 5 * pad_windows + live3
+            # with every dead column split back, the map sums to the logits
+            np.testing.assert_allclose(rmap.r_token.values.sum(axis=1),
+                                       logits[np.arange(4), target], rtol=1e-12)
+        else:
+            assert events == 0
+            # a stabilized dead column gives its PAD tokens nothing
+            assert not rmap.r_token.values[3].any()
+
+    def test_soft_relevance_gradient_through_dead_columns_matches_fd(self):
+        clf, ids, lengths = self._dead_column_classifier()
+        rng = np.random.default_rng(3)
+        rows = rng.dirichlet(np.ones(20), size=ids.shape)
+        rows = parameter(rows * (ids != PAD)[:, :, None])
+
+        def loss_fn():
+            trace = clf.forward_trace_soft(rows, lengths)
+            rmap = propagate(clf, trace, np.array([0, 1, 1, 0]), 0.0)
+            return (rmap.r_token * constant(np.linspace(-1, 1, 7))).sum()
+
+        err = finite_difference_check(loss_fn, [rows], step=1e-6, max_coords_per_param=40)
+        assert err < 1e-5
 
     def test_marker_token_dominates_relevance(self, small_classifier, small_corpus, vocab):
         sent = small_corpus.dev_sentences[0]
@@ -182,8 +243,7 @@ class TestPropagate:
 
 class TestWordRelevance:
     def _rmap_from_raw(self, raw):
-        raw = np.asarray(raw, dtype=float)[None, :, None]
-        return RelevanceMap(constant(raw))
+        return RelevanceMap(constant(np.asarray(raw, dtype=float)[None, :]))
 
     def test_zero_raw_gives_zero(self):
         wr = word_relevance(self._rmap_from_raw([0.0, 0.5]), eta=1.0, epsilon=0.0)

@@ -120,7 +120,9 @@ class TestClassify:
 
         with ad.no_grad():
             for got, want in zip(traces(narrow), traces(wide)):
-                np.testing.assert_array_equal(got.emb.values, want.emb.values)
+                for w in small_classifier.filter_widths:
+                    np.testing.assert_array_equal(got.y[w].values, want.y[w].values)
+                    np.testing.assert_array_equal(got.z[w].values, want.z[w].values)
                 np.testing.assert_array_equal(got.logits.values, want.logits.values)
 
     def test_short_input_pad_extended(self, small_classifier):

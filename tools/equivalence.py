@@ -20,6 +20,14 @@ records:
   before clipping (kept beside the record, not in it);
 * ``lm``: the dev perplexity of each pickled LM; and of each LM fit again with
   its workload settings and seed, with the refit weights' hash;
+* ``classifier``: for the pickled classifier, the target-class logit, hard
+  ``lambda`` and ``raw`` relevance of every test sentence (the ``relevance``
+  workload's batches of 64 at the pickled eta), and the largest conservation
+  error, ``|sum(raw) - total| / max(1, |total|)`` with ``total`` the logit
+  less what the stabilizer keeps, as the benchmark's conservation check
+  computes it with ``perfbench/reference.py``; and the per-step loss
+  of a classifier fit with the workload's settings and seed, which starts
+  from the same initial weights on both sides, with its final ``params_hash``;
 * ``transfer``: for the pickled stage-1 model and for the model after the
   recorded stage-2 steps, the greedy token lists and gate matrices of the
   corpus's test sentences toward the opposite style, styled, with
@@ -43,8 +51,9 @@ records:
   checkpoints, the ``total`` column of every ``train_log`` CSV, a hash of the
   corpus files, the stdout of ``restyle gradcheck --coords-per-param 1``
   under every variant of ``training.VARIANTS``, and the records of
-  ``restyle lrp-inspect`` (its ``relevance.jsonl``) for the corpus's test
-  inputs, with the largest gap in any of their ``lambda`` and
+  ``restyle lrp-inspect`` for the corpus's test inputs (its
+  ``lrp_inspect.jsonl``, or ``relevance.jsonl`` in a checkout that writes
+  that), with the largest gap in any of their ``lambda`` and
   ``raw_relevance`` values.
 
 The result holds, per seed, both records and whether the loss totals and
@@ -56,7 +65,11 @@ per stage the first step's largest gradient gap relative to the parent
 gradient's norm, ``max |g_change - g_parent| / ||g_parent||`` over each
 parameter's entries. Both sides start from the same
 values there, so that gap is the change's own rounding in the backward pass,
-before an optimizer amplifies it from step to step.
+before an optimizer amplifies it from step to step. For the classifier it
+holds the largest gaps in the pickled classifier's test logits (relative to
+the largest logit), ``lambda`` and ``raw`` (relative to the largest ``|raw|``),
+each side's largest conservation error, and each step's relative gap in the
+fit's loss.
 ``tools/paired_bench.py summary --equivalence`` includes it in a BENCH file.
 """
 
@@ -163,6 +176,73 @@ def record_first_grads(optimizer, params: dict) -> dict:
     return grads
 
 
+def classifier_record(workloads, models, corpus, seed: int) -> dict:
+    """The pickled classifier's test logits, hard relevance and conservation
+    error, and the per-step loss of a fresh fit with the workload's seed."""
+    import reference
+    from restyle import autodiff, data
+    from restyle.checkpoint import params_hash
+    from restyle.textcnn import TextCnnStyleClassifier
+
+    clf, test = models.clf, corpus.test
+    labels = np.asarray(test.labels)
+    lams, raws, lens = workloads.hard_relevance(clf, test.sentences, labels,
+                                                models.lrp_cfg.eta)
+    p = reference.arrays(clf.parameters())
+    logits, lam, raw, errors = [], [], [], []
+    with autodiff.no_grad():
+        for i, ln in enumerate(lens):
+            part = slice(i * workloads.LRP_BATCH, i * workloads.LRP_BATCH + len(ln))
+            batch = data.pack_batch(test.sentences[part], min_width=max(clf.filter_widths))
+            out = clf.forward_trace(batch.enc_ids, batch.lengths).logits.values
+            logits.extend(out[np.arange(len(ln)), labels[part]].tolist())
+            lam.extend(lams[i][b, :n].tolist() for b, n in enumerate(ln))
+            raw.extend(raws[i][b, :n].tolist() for b, n in enumerate(ln))
+            _, total = reference.zrule_total(p, reference.hard_embedding(p, batch.enc_ids), ln,
+                                             clf.filter_widths, labels[part],
+                                             models.lrp_cfg.stabilizer)
+            errors.extend(np.abs(raws[i].sum(axis=1) - total) / np.maximum(1.0, np.abs(total)))
+
+    fresh = TextCnnStyleClassifier(vocab_size=len(corpus.vocab),
+                                   epochs=workloads.DEFAULT.clf_epochs,
+                                   seed=workloads.sub_seed(seed, 1))
+    losses, backward = [], autodiff.backward
+
+    def recording(loss):
+        losses.append(float(loss.values))
+        backward(loss)
+
+    autodiff.backward = recording
+    try:
+        fresh.fit(corpus.train.sentences, corpus.train.labels)
+    finally:
+        autodiff.backward = backward
+    return {"logits": logits, "lambda": lam, "raw": raw,
+            "max_conservation_error": float(max(errors)),
+            "fit_losses": losses, "fit_params_hash": params_hash(fresh.params_)}
+
+
+def classifier_gaps(parent: dict, change: dict) -> dict:
+    """Largest gaps between the two sides' classifier records."""
+    def flat(rec, key):
+        return np.concatenate([np.asarray(r, dtype=float) for r in rec[key]])
+
+    logit_p, logit_c = np.asarray(parent["logits"]), np.asarray(change["logits"])
+    raw_p, raw_c = flat(parent, "raw"), flat(change, "raw")
+    return {
+        "test_sentences": len(logit_p),
+        "max_relative_logit_gap": float(np.abs(logit_c - logit_p).max()
+                                        / np.abs(logit_p).max()),
+        "max_lambda_gap": float(np.abs(flat(change, "lambda") - flat(parent, "lambda")).max()),
+        "max_raw_gap": float(np.abs(raw_c - raw_p).max()),
+        "max_relative_raw_gap": float(np.abs(raw_c - raw_p).max() / np.abs(raw_p).max()),
+        "max_conservation_error": {"parent": parent["max_conservation_error"],
+                                   "change": change["max_conservation_error"]},
+        "fit_relative_loss_gaps": loss_gaps(parent["fit_losses"], change["fit_losses"]),
+        "fit_params_hash_identical": parent["fit_params_hash"] == change["fit_params_hash"],
+    }
+
+
 def transfer_record(model, clf, corpus, max_len: int) -> dict:
     """Per mode of ``TRANSFER_MODES``: greedy token lists and gate rows of the
     test sentences toward the opposite style, in input order, the number of
@@ -241,6 +321,7 @@ def worker_record(checkout: Path, seed: int, start: Path, steps: int, out: Path)
             "refit_held_out_perplexity": refit.dev_perplexity_,
             "refit_weights_hash": refit.weights_hash()}
 
+    record["classifier"] = classifier_record(workloads, models, corpus, seed)
     record["transfer"] = {"stage1": transfer_record(models.model, models.clf, corpus,
                                                     workloads.MAX_LEN)}
     trainer = workloads.stage2_trainer(models, corpus, seed, workloads.FINETUNE_MAX_LEN)
@@ -319,8 +400,10 @@ def worker_cli(checkout: Path, seed: int, work: Path, out: Path) -> None:
     test_inputs.write_text("".join((corpus / f"test.style{s}.input.txt").read_text()
                                    for s in (0, 1)))
     cli(run_dir, "lrp-inspect", "--input", str(test_inputs))
-    lrp_inspect = [json.loads(line)
-                   for line in (run_dir / "relevance.jsonl").read_text().splitlines()]
+    dump = run_dir / "lrp_inspect.jsonl"
+    if not dump.exists():   # a checkout whose lrp-inspect writes relevance.jsonl
+        dump = run_dir / "relevance.jsonl"
+    lrp_inspect = [json.loads(line) for line in dump.read_text().splitlines()]
 
     digest = hashlib.sha256()
     for path in sorted(corpus.iterdir()):
@@ -377,7 +460,10 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
                                             strict=True)
                           for key in ("lambda", "raw_relevance")
                           for x, y in zip(rp[key], rc[key], strict=True))
+    clf_gaps = classifier_gaps(p["classifier"], c["classifier"])
     for r in rec.values():
+        r["classifier"] = {k: r["classifier"][k] for k in
+                           ("max_conservation_error", "fit_losses", "fit_params_hash")}
         r["transfer"] = {model: {mode: {"sentences": len(v["tokens"]),
                                         "tokens_sha256": digest(v["tokens"]),
                                         "outputs_with_pad": v["outputs_with_pad"],
@@ -403,6 +489,7 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
                                       for t in STAGE2_TERMS},
         "stage1_first_step_grad_gap": gradient_gaps(*records, "stage1"),
         "stage2_first_step_grad_gap": gradient_gaps(*records, "stage2"),
+        "classifier": clf_gaps,
         "lm_refit_weights_identical": all(p["lm"][k]["refit_weights_hash"]
                                           == c["lm"][k]["refit_weights_hash"] for k in p["lm"]),
         "lm_max_relative_perplexity_gap": ppl_gap,
