@@ -9,6 +9,13 @@ can consume another tensor created after it.
 Gradients accumulate only into tensors with ``requires_grad=True``; frozen
 parameters keep identically-zero grad buffers while gradients still flow
 *through* the ops that consume them.
+
+Tensors index like numpy arrays: ``t[key]`` is ``t.values[key]``, and its
+backward adds the output gradient back with ``t.grad[key] += g``. That
+buffered add keeps one contribution per element, so a key must name each
+element at most once: slices, ints, distinct integer arrays, or broadcast
+index arrays. A lookup that repeats rows (an embedding) goes through
+``gather_rows``, which accumulates them.
 """
 
 from __future__ import annotations
@@ -76,10 +83,6 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    @property
-    def size(self):
-        return self.values.size
-
     def zero_grad(self):
         self._grad = None
 
@@ -122,6 +125,16 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, _lift(other))
+
+    def __getitem__(self, key):
+        """``values[key]``; ``key`` names each element at most once."""
+        out = self.values[key]
+
+        def bwd(g):
+            if self.requires_grad:
+                self.grad[key] += g
+
+        return _node(out, (self,), bwd)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -480,35 +493,9 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return _node(out, tuple(tensors), bwd)
 
 
-def select(a: Tensor, axis: int, index: int) -> Tensor:
-    """The slice at ``index`` along ``axis``, with that axis dropped."""
-    sl = [slice(None)] * a.values.ndim
-    sl[axis] = index
-    sl = tuple(sl)
-    out = a.values[sl]
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad[sl] += g
-
-    return _node(out, (a,), bwd)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    sl = [slice(None)] * a.values.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-    out = a.values[sl]
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad[sl] += g
-
-    return _node(out, (a,), bwd)
-
-
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Embedding lookup: rows of a (V, E) table indexed by an integer array."""
+    """Embedding lookup: rows of a (V, E) table indexed by an integer array
+    whose ids may repeat; a repeated row's gradients accumulate."""
     ids = np.asarray(ids)
     out = table.values[ids]
 
@@ -517,17 +504,6 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
             np.add.at(table.grad, ids.ravel(), g.reshape(-1, table.shape[-1]))
 
     return _node(out, (table,), bwd)
-
-
-def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
-    """The rows ``rows`` of ``a`` along its first axis; ``rows`` are distinct."""
-    out = a.values[rows]
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad[rows] += g
-
-    return _node(out, (a,), bwd)
 
 
 def place_rows(a: Tensor, rows: np.ndarray, width: int) -> Tensor:
@@ -541,22 +517,6 @@ def place_rows(a: Tensor, rows: np.ndarray, width: int) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.grad += g[rows]
-
-    return _node(out, (a,), bwd)
-
-
-def take_along_last(a: Tensor, ids: np.ndarray) -> Tensor:
-    """Pick one entry along the last axis per leading index: out[...] = a[..., ids[...]]."""
-    ids = np.asarray(ids)
-    if ids.shape != a.shape[:-1]:
-        raise ValueError(f"take_along_last: index shape {ids.shape} does not match {a.shape[:-1]}")
-    expanded = np.expand_dims(ids, -1)
-    out = np.take_along_axis(a.values, expanded, axis=-1).squeeze(-1)
-
-    def bwd(g):
-        if a.requires_grad:
-            flat = a.grad.reshape(-1, a.shape[-1])
-            np.add.at(flat, (np.arange(flat.shape[0]), ids.ravel()), g.ravel())
 
     return _node(out, (a,), bwd)
 
@@ -615,7 +575,12 @@ def squared_error(a: Tensor, b: Tensor) -> Tensor:
 
 def cross_entropy_with_indices(logits: Tensor, ids: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
     """Per-position negative log-likelihood of integer targets."""
-    ce = neg(take_along_last(log_softmax(logits, axis=-1), ids))
+    ids = np.asarray(ids)
+    if ids.shape != logits.shape[:-1]:
+        raise ValueError(f"cross_entropy_with_indices: target shape {ids.shape} "
+                         f"does not match {logits.shape[:-1]}")
+    # one (leading index, target) pair per entry, so each entry is named once
+    ce = neg(log_softmax(logits, axis=-1)[(*np.indices(ids.shape, sparse=True), ids)])
     if mask is not None:
         ce = mul(ce, constant(mask))
     return ce

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, make_dataclass
 
 from restyle.base import derive_seed
 from restyle.language_model import DirectionalLanguageModel
+from restyle.lrp import EPSILON, ETA_TARGET, STABILIZER
 from restyle.seq2seq import Seq2seqModel
 from restyle.textcnn import TextCnnStyleClassifier
 from restyle.training import VARIANTS, Stage1Config, Stage2Config
@@ -59,9 +60,9 @@ ModelSection = constructor_section("ModelSection", Seq2seqModel, ("vocab_size", 
 @dataclass
 class LrpSection:
     eta: str = "auto"          # positive float or "auto" (calibrated per run)
-    eta_target: float = 0.7
-    epsilon: float = 0.3
-    stabilizer: float = 1e-9
+    eta_target: float = ETA_TARGET
+    epsilon: float = EPSILON
+    stabilizer: float = STABILIZER
 
 
 @dataclass

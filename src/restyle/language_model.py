@@ -136,7 +136,7 @@ def fluency_loss(lm_forward: DirectionalLanguageModel,
     def directional(lm: DirectionalLanguageModel, rows3: Tensor, dists3: Tensor) -> Tensor:
         emb = lm.params_["emb"]
         bos = ad.gather_rows(emb, np.full((B, 1), BOS, dtype=np.int64))
-        x = ad.concat([bos, ad.matmul(ad.narrow(rows3, 1, 0, T - 1), emb)], axis=1)
+        x = ad.concat([bos, ad.matmul(rows3[:, :T - 1], emb)], axis=1)
         ce = ad.cross_entropy_with_dist(dists3, lm.logits(x)) * constant(mask)
         # per-sentence sums averaged over sentences with nonzero length
         return ce.sum() * (1.0 / n_sentences)

@@ -37,6 +37,12 @@ from restyle import autodiff as ad
 from restyle.autodiff import Tensor, constant
 from restyle.textcnn import ClassifierTrace, TextCnnStyleClassifier
 
+# the mapping's defaults, which ``training.LrpConfig`` and the ``[lrp]``
+# config section read too
+STABILIZER = 1e-9    # delta of the stabilized denominators
+EPSILON = 0.3        # lambda below this floors to 0
+ETA_TARGET = 0.7     # lambda that ``calibrate_eta`` gives the low peak quantile
+
 
 @dataclass
 class RelevanceMap:
@@ -72,7 +78,7 @@ def _stabilized_ratio(r_out: Tensor, z: Tensor, stabilizer: float):
 
 
 def zrule_backward(v_in: Tensor, weights: Tensor, r_out: Tensor,
-                   stabilizer: float = 1e-9) -> tuple[Tensor, int]:
+                   stabilizer: float = STABILIZER) -> tuple[Tensor, int]:
     """One proportional-split step across a linear layer, in four traced steps
     (Montavon et al. 2019, section 10.2):
 
@@ -94,7 +100,7 @@ def zrule_backward(v_in: Tensor, weights: Tensor, r_out: Tensor,
 
 
 def propagate(clf: TextCnnStyleClassifier, trace: ClassifierTrace,
-              target_class, stabilizer: float = 1e-9) -> RelevanceMap:
+              target_class, stabilizer: float = STABILIZER) -> RelevanceMap:
     """Decompose the target-class logit into per-token relevance."""
     B = trace.logits.shape[0]
     tc = np.broadcast_to(np.asarray(target_class, dtype=np.int64), (B,)).copy()
@@ -112,7 +118,7 @@ def propagate(clf: TextCnnStyleClassifier, trace: ClassifierTrace,
         route = np.zeros(z.shape)
         np.put_along_axis(route, trace.pool_argmax[w][:, None, :], 1.0, axis=1)
         # tanh is relevance-transparent; the pool routes to the winning window
-        r_act = ad.narrow(r_feats, 1, i * F, F).reshape(B, 1, F) * constant(route)
+        r_act = r_feats[:, i * F:(i + 1) * F].reshape(B, 1, F) * constant(route)
         s, dead = _stabilized_ratio(r_act, z, stabilizer)
         # token p+j of window p gets sum_f s[p, f] * Y[p+j, block(w, j), f]
         r_w = (ad.shift_spread(s, w, T) * y).sum(axis=-1)
@@ -150,22 +156,22 @@ def word_relevance(rmap: RelevanceMap, eta: float, epsilon: float) -> WordReleva
 
 def hard_word_relevance(clf: TextCnnStyleClassifier, ids: np.ndarray,
                         lengths: np.ndarray, target_class, eta: float,
-                        epsilon: float, stabilizer: float = 1e-9) -> WordRelevance:
+                        epsilon: float, stabilizer: float = STABILIZER) -> WordRelevance:
     trace = clf.forward_trace(ids, lengths)
     return word_relevance(propagate(clf, trace, target_class, stabilizer), eta, epsilon)
 
 
 def soft_word_relevance(clf: TextCnnStyleClassifier, rows: Tensor,
                         lengths: np.ndarray, target_class, eta: float,
-                        epsilon: float, stabilizer: float = 1e-9) -> WordRelevance:
+                        epsilon: float, stabilizer: float = STABILIZER) -> WordRelevance:
     """Relevance of each soft word; differentiable w.r.t. the probability rows."""
     trace = clf.forward_trace_soft(rows, lengths)
     return word_relevance(propagate(clf, trace, target_class, stabilizer), eta, epsilon)
 
 
 def calibrate_eta(clf: TextCnnStyleClassifier, sentences, labels,
-                  target_lambda: float = 0.7, quantile: float = 0.1,
-                  sample: int = 200, stabilizer: float = 1e-9,
+                  target_lambda: float = ETA_TARGET, quantile: float = 0.1,
+                  sample: int = 200, stabilizer: float = STABILIZER,
                   seed: int = 0) -> float:
     """Pick eta so a low quantile of per-sentence peak |r| maps to target_lambda.
 

@@ -55,8 +55,8 @@ class EncoderState:
 
     def take(self, keep: np.ndarray) -> EncoderState:
         """The state of the sentences ``keep`` alone."""
-        return EncoderState(ad.take_rows(self.states, keep), ad.take_rows(self.final, keep),
-                            self.score_bias[keep], ad.take_rows(self.score_proj, keep))
+        return EncoderState(self.states[keep], self.final[keep], self.score_bias[keep],
+                            self.score_proj[keep])
 
 
 @dataclass
@@ -120,7 +120,7 @@ class GruCell:
         gi = self.project(x)
         states = []
         for t in range(x.shape[1]):
-            h = self.step(ad.select(gi, 1, t), h)
+            h = self.step(gi[:, t], h)
             states.append(h)
         return ad.stack(states, axis=1)
 
@@ -235,8 +235,7 @@ class Seq2seqModel(ParamMixin):
     def decoder_input_weights(self) -> tuple[Tensor, Tensor]:
         """``dec.w`` split into its embedding rows and its context rows."""
         w = self.params["dec.w"]
-        return (ad.narrow(w, 0, 0, self.embed_dim),
-                ad.narrow(w, 0, self.embed_dim, self.hidden_dim))
+        return w[:self.embed_dim], w[self.embed_dim:]
 
     def advance(self, x_proj: Tensor, h_prev: Tensor, enc: EncoderState,
                 w_ctx: Tensor) -> Tensor:
@@ -278,7 +277,7 @@ class Seq2seqModel(ParamMixin):
         prev, states = [], []
         for j in range(batch.dec_inputs.shape[1]):
             prev.append(h)
-            h = self.advance(ad.select(x_proj, 1, j), h, enc, w_ctx)
+            h = self.advance(x_proj[:, j], h, enc, w_ctx)
             states.append(h)
         return (self.output_logits(ad.stack(states, axis=1)),
                 self.predict_relevance(ad.stack(prev, axis=1)))
@@ -312,7 +311,7 @@ class Seq2seqModel(ParamMixin):
             if ended.any():
                 keep = np.flatnonzero(~ended)
                 stepped = stepped[keep]
-                h, x, enc = ad.take_rows(h, keep), ad.take_rows(x, keep), enc.take(keep)
+                h, x, enc = h[keep], x[keep], enc.take(keep)
                 if style_ids is not None:
                     style_ids = style_ids[keep]
         return realized

@@ -95,7 +95,7 @@ class TextCnnStyleClassifier(Estimator):
         """(E, sum_w w*F): each width's per-offset blocks conv{w}.w[j*E:(j+1)*E],
         side by side in width order and then offset order."""
         E = self.params_["emb"].shape[1]
-        return ad.concat([ad.narrow(self.params_[f"conv{w}.w"], 0, j * E, E)
+        return ad.concat([self.params_[f"conv{w}.w"][j * E:(j + 1) * E]
                           for w in self.filter_widths for j in range(w)], axis=1)
 
     def _forward_from_emb(self, emb: Tensor, lengths: np.ndarray) -> ClassifierTrace:
@@ -110,7 +110,7 @@ class TextCnnStyleClassifier(Estimator):
         ys, zs, argmaxes, pooled = {}, {}, {}, []
         start = 0
         for w in self.filter_widths:
-            ys[w] = ad.narrow(y_all, 2, start, w * F)
+            ys[w] = y_all[:, :, start:start + w * F]
             start += w * F
             zs[w] = ad.shift_sum(ys[w], w)
             act = ad.tanh(zs[w] + self.params_[f"conv{w}.b"])

@@ -24,7 +24,7 @@ from restyle.autodiff import constant
 from restyle.data import (Batcher, LabeledCorpus, corrupt_batch, length_ordered_batches,
                           pack_batch)
 from restyle.language_model import fluency_loss
-from restyle.lrp import hard_word_relevance, soft_word_relevance
+from restyle.lrp import EPSILON, STABILIZER, hard_word_relevance, soft_word_relevance
 from restyle.seq2seq import Seq2seqModel, sample_gumbel
 from restyle.textcnn import TextCnnStyleClassifier
 
@@ -85,8 +85,8 @@ def resolve_ablation(variant: str) -> str:
 @dataclass
 class LrpConfig:
     eta: float = 1.0
-    epsilon: float = 0.3
-    stabilizer: float = 1e-9
+    epsilon: float = EPSILON
+    stabilizer: float = STABILIZER
 
 
 @dataclass
@@ -266,7 +266,7 @@ def stage1_losses(model: Seq2seqModel, batch, lam_x: np.ndarray, lxlambda: bool,
     ce = ad.cross_entropy_with_indices(logits, batch.targets, batch.target_mask)
     losses = {"l_sr": ce.sum(axis=1).mean()}
     if lxlambda:
-        lam_hat = ad.narrow(gates, 1, 0, lam_x.shape[1])
+        lam_hat = gates[:, :lam_x.shape[1]]
         losses["l_xlambda"] = relevance_error(lam_hat, constant(lam_x), batch.token_mask,
                                               batch.lengths).mean()
     return {**losses, "total": weighted_total(losses, {})}
@@ -315,7 +315,7 @@ class Stage1Trainer:
                 correct += int(((pred == batch.targets) * batch.target_mask).sum())
                 tokens += int(batch.target_mask.sum())
                 lam_x = self.lam_cache.batch_matrix(batch)
-                err = relevance_error(ad.narrow(gates, 1, 0, lam_x.shape[1]),
+                err = relevance_error(gates[:, :lam_x.shape[1]],
                                       constant(lam_x), batch.token_mask, batch.lengths)
                 mse_sum += float(err.values.sum())
         return {"token_accuracy": correct / max(tokens, 1),
@@ -387,7 +387,7 @@ def stage2_losses(model: Seq2seqModel, classifier: TextCnnStyleClassifier, lms: 
     if variant.ylambda and cfg.alpha > 0:
         wr = soft_word_relevance(classifier, rows3, soft.lengths, target_style,
                                  lrp_cfg.eta, lrp_cfg.epsilon, lrp_cfg.stabilizer)
-        per_sentence = relevance_error(gates, ad.narrow(wr.lam, 1, 0, T), rmask,
+        per_sentence = relevance_error(gates, wr.lam[:, :T], rmask,
                                        np.maximum(soft.lengths, 1))
         losses["l_ylambda"] = (per_sentence * vmask).sum() * (1.0 / n_valid)
 

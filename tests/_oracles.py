@@ -102,9 +102,9 @@ def composed_gru(gi, h, u, bh):
 
     H = h.shape[-1]
     gh = ad.matmul(h, u) + bh
-    z = ad.sigmoid(ad.narrow(gi, 1, 0, H) + ad.narrow(gh, 1, 0, H))
-    r = ad.sigmoid(ad.narrow(gi, 1, H, H) + ad.narrow(gh, 1, H, H))
-    n = ad.tanh(ad.narrow(gi, 1, 2 * H, H) + r * ad.narrow(gh, 1, 2 * H, H))
+    z = ad.sigmoid(gi[:, :H] + gh[:, :H])
+    r = ad.sigmoid(gi[:, H:2 * H] + gh[:, H:2 * H])
+    n = ad.tanh(gi[:, 2 * H:] + r * gh[:, 2 * H:])
     return (1.0 - z) * n + z * h
 
 
@@ -180,8 +180,8 @@ def per_step_fluency_loss(lm_forward, lm_backward, soft, target_style):
     dists3 = soft.stacked_dists()
     rev_rows3 = ad.matmul(constant(perm), rows3)
     rev_dists3 = ad.matmul(constant(perm), dists3)
-    rev_rows = [ad.select(rev_rows3, 1, j) for j in range(T)]
-    rev_dists = [ad.select(rev_dists3, 1, j) for j in range(T)]
+    rev_rows = [rev_rows3[:, j] for j in range(T)]
+    rev_dists = [rev_dists3[:, j] for j in range(T)]
     bwd = directional(lm_backward, rev_rows, rev_dists, mask)
 
     return (fwd + bwd) * 0.5

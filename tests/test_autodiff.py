@@ -27,8 +27,6 @@ from restyle.autodiff import (
     sigmoid,
     softmax,
     swap_last_axes,
-    take_along_last,
-    take_rows,
     tanh,
     tmax,
     tmean,
@@ -147,8 +145,9 @@ class TestFiniteDifferenceCheck:
         def loss_fn():
             return (1.0 / w).sum()
 
-        with pytest.raises(ValueError, match="non-finite"):
-            finite_difference_check(loss_fn, [w])
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            with pytest.raises(ValueError, match="non-finite"):
+                finite_difference_check(loss_fn, [w])
 
 
 class TestIndexingOps:
@@ -161,10 +160,10 @@ class TestIndexingOps:
         expected[2] = 1.0
         np.testing.assert_array_equal(table.grad, expected)
 
-    def test_take_along_last_roundtrip(self):
+    def test_broadcast_key_picks_one_entry_per_row(self):
         logits = parameter(np.arange(6.0).reshape(2, 3))
         ids = np.array([2, 0])
-        out = take_along_last(logits, ids)
+        out = logits[(*np.indices(ids.shape, sparse=True), ids)]
         np.testing.assert_array_equal(out.values, [2.0, 3.0])
         backward(tsum(out))
         expected = np.zeros((2, 3))
@@ -172,12 +171,12 @@ class TestIndexingOps:
         expected[1, 0] = 1.0
         np.testing.assert_array_equal(logits.grad, expected)
 
-    def test_take_rows_and_place_rows_route_gradients(self):
+    def test_row_index_and_place_rows_route_gradients(self):
         rng = np.random.default_rng(3)
         x = parameter(rand(rng, 5, 2, 3))
         w = constant(rand(rng, 5, 2, 3))
         rows = np.array([0, 2, 3])
-        taken = take_rows(x, rows)
+        taken = x[rows]
         np.testing.assert_array_equal(taken.values, x.values[rows])
         placed = place_rows(taken, rows, 5)
         np.testing.assert_array_equal(placed.values[rows], x.values[rows])
@@ -189,8 +188,39 @@ class TestIndexingOps:
         np.testing.assert_array_equal(x.grad, expected)
         x.zero_grad()
         err = finite_difference_check(
-            lambda: tsum(place_rows(tanh(take_rows(x, rows)), rows[::-1], 4) * w.values[:4]), [x])
+            lambda: tsum(place_rows(tanh(x[rows]), rows[::-1], 4) * w.values[:4]), [x])
         assert err < 1e-7
+
+    def test_index_keys_match_fd(self):
+        # a slice, an int, distinct rows and the cross-entropy's broadcast key
+        rng = np.random.default_rng(5)
+        x = parameter(rand(rng, 6, 4, 5))
+        ids = rng.integers(0, 5, size=(3, 4))
+        rows = np.array([4, 0, 2])
+        c = constant(rand(rng, 3, 4, 5))
+
+        def loss():
+            picked = x[1:4][(*np.indices(ids.shape, sparse=True), ids)]
+            return tsum(tanh(x[rows] * c)) + tsum(picked * picked) + tsum(tanh(x[5]))
+
+        assert finite_difference_check(loss, [x], max_coords_per_param=120) < 1e-7
+        x.zero_grad()
+        backward(tsum(cross_entropy_with_indices(x[:3], ids)))
+        assert (x.grad[3:] == 0.0).all() and (x.grad[:3] != 0.0).all()
+
+    def test_distinct_rows_index_like_gather_rows(self):
+        rng = np.random.default_rng(6)
+        x = parameter(rand(rng, 7, 3))
+        rows = np.array([5, 1, 6, 0])
+        coef = constant(rand(rng, 4, 3))
+        grads = []
+        for take in (lambda: x[rows], lambda: gather_rows(x, rows)):
+            out = take()
+            backward(tsum(out * coef))
+            grads.append((out.values, x.grad.copy()))
+            x.zero_grad()
+        np.testing.assert_array_equal(grads[0][0], grads[1][0])
+        np.testing.assert_array_equal(grads[0][1], grads[1][1])
 
     def test_shift_sum_and_spread_match_fd(self):
         rng = np.random.default_rng(4)
@@ -394,14 +424,14 @@ class TestMatmulBatchedBackward:
         np.testing.assert_allclose(b.grad, old, rtol=0, atol=1e-12)
 
 
-class TestStackSelect:
-    def test_select_inverts_stack_and_routes_gradient(self):
+class TestStackIndex:
+    def test_int_index_inverts_stack_and_routes_gradient(self):
         rng = np.random.default_rng(17)
         parts = [parameter(rand(rng, 2, 3)) for _ in range(4)]
         stacked = ad.stack(parts, axis=1)
         assert stacked.shape == (2, 4, 3)
-        np.testing.assert_array_equal(ad.select(stacked, 1, 2).values, parts[2].values)
-        backward(tsum(ad.select(stacked, 1, 2) * constant(np.full((2, 3), 3.0))))
+        np.testing.assert_array_equal(stacked[:, 2].values, parts[2].values)
+        backward(tsum(stacked[:, 2] * constant(np.full((2, 3), 3.0))))
         np.testing.assert_array_equal(parts[2].grad, 3.0)
         for i in (0, 1, 3):
             np.testing.assert_array_equal(parts[i].grad, 0.0)

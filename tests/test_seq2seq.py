@@ -259,7 +259,7 @@ class TestGenerate:
         assert len(soft.rows) == T
         w = tiny_model.params["dec.w"]
         splits = [t for t in graph(soft.stacked_rows().sum())
-                  if t._parents == (w,) and t._bwd.__qualname__.startswith("narrow.")]
+                  if t._parents == (w,) and t._bwd.__qualname__.startswith("Tensor.__getitem__.")]
         assert len(splits) == 2
 
     def test_soft_lengths_equal_greedy_lengths_at_low_temperature(self, tiny_model):

@@ -53,12 +53,17 @@ records:
   under every variant of ``training.VARIANTS``, and the records of
   ``restyle lrp-inspect`` for the corpus's test inputs (its
   ``lrp_inspect.jsonl``, or ``relevance.jsonl`` in a checkout that writes
-  that), with the largest gap in any of their ``lambda`` and
-  ``raw_relevance`` values.
+  that). Those records round ``lambda`` to 6 and ``raw_relevance`` to 8
+  decimals, so the record also holds the same sentences' ``lambda`` and
+  ``raw`` unrounded, mapped as ``lrp-inspect`` maps them: the run's
+  ``classifier.ckpt``, the mapping of its ``stage1.ckpt``, the classifier's
+  predicted targets, and batches of 64 in length order.
 
 The result holds, per seed, both records and whether the loss totals and
 hashes are identical (the transfer records apart from their gates, the cli
-record apart from the ``lrp-inspect`` records, which are compared alone), each
+record apart from its relevance, which is compared alone: whether the
+``lrp-inspect`` records are identical, and the largest unrounded ``lambda``
+gap and ``raw`` gap, the latter relative to the largest ``|raw|``), each
 step's relative gap in the loss total and in each stage-2 term (absolute
 where the parent's value is 0), the largest relative perplexity gap, and
 per stage the first step's largest gradient gap relative to the parent
@@ -365,7 +370,9 @@ def worker_cli(checkout: Path, seed: int, work: Path, out: Path) -> None:
     sys.path.insert(0, str(checkout / "src"))
     from restyle.autodiff import parameter
     from restyle.checkpoint import load_checkpoint, params_hash
-    from restyle.cli import main
+    from restyle.cli import load_model, main, stage1_lrp
+    from restyle.data import Vocabulary, length_ordered_batches
+    from restyle.lrp import hard_word_relevance
     from restyle.synthetic import generate_marker_corpus, write_corpus_files
     from restyle.training import VARIANTS
 
@@ -404,12 +411,25 @@ def worker_cli(checkout: Path, seed: int, work: Path, out: Path) -> None:
     if not dump.exists():   # a checkout whose lrp-inspect writes relevance.jsonl
         dump = run_dir / "relevance.jsonl"
     lrp_inspect = [json.loads(line) for line in dump.read_text().splitlines()]
+    vocab = Vocabulary.load(run_dir / "vocab.txt")
+    clf, _ = load_model(run_dir / "classifier.ckpt", "classifier", vocab)
+    lrp = stage1_lrp(run_dir / "stage1.ckpt")
+    encoded = [vocab.encode(rec["sentence"]) for rec in lrp_inspect]
+    targets = [int(t) for t in clf.predict(encoded)]
+    unrounded = [None] * len(encoded)
+    for rows, batch in length_ordered_batches(encoded, 64, targets):
+        wr = hard_word_relevance(clf, batch.enc_ids, batch.lengths, batch.labels,
+                                 eta=lrp.eta, epsilon=lrp.epsilon, stabilizer=lrp.stabilizer)
+        for i, (row, n) in enumerate(zip(rows, batch.lengths)):
+            unrounded[row] = {"lambda": wr.lam.values[i, :n].tolist(),
+                              "raw": wr.raw.values[i, :n].tolist()}
 
     digest = hashlib.sha256()
     for path in sorted(corpus.iterdir()):
         digest.update(path.name.encode() + path.read_bytes())
     record = {"corpus_hash": digest.hexdigest(), "params_hash": {}, "loss_totals": {},
-              "gradcheck": gradcheck, "lrp_inspect": lrp_inspect}
+              "gradcheck": gradcheck, "lrp_inspect": lrp_inspect,
+              "lrp_inspect_unrounded": unrounded}
     for prefix, run, pattern in (("", run_dir, "*.ckpt"),
                                  ("no-lxlambda/", no_lx_dir, "stage*.ckpt")):
         for path in sorted(run.glob(pattern)):
@@ -455,11 +475,12 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
         p["transfer"][model][mode]["evaluate_decoded"],
         c["transfer"][model][mode]["evaluate_decoded"], strict=True))
         for model in p["transfer"] for mode in TRANSFER_MODES}
-    lrp_inspect_gap = max(abs(x - y)
-                          for rp, rc in zip(p["cli"]["lrp_inspect"], c["cli"]["lrp_inspect"],
-                                            strict=True)
-                          for key in ("lambda", "raw_relevance")
-                          for x, y in zip(rp[key], rc[key], strict=True))
+
+    def unrounded(rec, key):
+        return np.concatenate([r[key] for r in rec["cli"]["lrp_inspect_unrounded"]])
+
+    raw_p, raw_c = unrounded(p, "raw"), unrounded(c, "raw")
+    lam_gap = float(np.abs(unrounded(c, "lambda") - unrounded(p, "lambda")).max())
     clf_gaps = classifier_gaps(p["classifier"], c["classifier"])
     for r in rec.values():
         r["classifier"] = {k: r["classifier"][k] for k in
@@ -493,10 +514,12 @@ def compare(parent: Path, change: Path, seed: int, steps: int, tmp: Path) -> dic
         "lm_refit_weights_identical": all(p["lm"][k]["refit_weights_hash"]
                                           == c["lm"][k]["refit_weights_hash"] for k in p["lm"]),
         "lm_max_relative_perplexity_gap": ppl_gap,
-        "cli_identical": ({k: v for k, v in p["cli"].items() if k != "lrp_inspect"}
-                          == {k: v for k, v in c["cli"].items() if k != "lrp_inspect"}),
+        "cli_identical": ({k: v for k, v in p["cli"].items() if not k.startswith("lrp_")}
+                          == {k: v for k, v in c["cli"].items() if not k.startswith("lrp_")}),
         "cli_lrp_inspect_identical": p["cli"]["lrp_inspect"] == c["cli"]["lrp_inspect"],
-        "cli_lrp_inspect_max_gap": lrp_inspect_gap,
+        "cli_lrp_inspect_max_lambda_gap": lam_gap,
+        "cli_lrp_inspect_max_relative_raw_gap": float(np.abs(raw_c - raw_p).max()
+                                                      / np.abs(raw_p).max()),
         "transfer_identical": p["transfer"] == c["transfer"],
         "transfer_differing_sentences": transfer_gaps,
         "transfer_max_decoded_gate_gap": gate_gaps,
